@@ -161,6 +161,9 @@ func TestProcessBatchDropsMalformed(t *testing.T) {
 	if dev.Stats().ParseErrors != 1 {
 		t.Errorf("ParseErrors = %d, want 1", dev.Stats().ParseErrors)
 	}
+	if _, err := dev.Process(ins[1]); !errors.Is(err, pisa.ErrTruncated) {
+		t.Errorf("short frame: %v, want pisa.ErrTruncated", err)
+	}
 	if err := dev.ProcessBatch(ins, out[:1]); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("short out slice: %v, want ErrBadConfig", err)
 	}
@@ -171,19 +174,34 @@ func TestProcessBatchDropsMalformed(t *testing.T) {
 	}
 }
 
+// TestProcessBatchZeroAlloc covers every path a packet can take: ML-path
+// TCP, UDP and ARP bypass, and truncated frames the parser drops.
 func TestProcessBatchZeroAlloc(t *testing.T) {
 	dev, _, gen := buildAnomalyDevice(t)
 	ins := make([]PacketIn, 64)
+	arp := make([]byte, 42)
+	arp[12], arp[13] = 0x08, 0x06
 	for i := range ins {
-		rec := gen.Record()
-		ins[i] = PacketIn{
-			Data:     pisa.BuildTCPPacket(uint32(i), 2, 3, 4, 0x10, 64),
-			Features: rec.Features,
+		switch i % 4 {
+		case 0:
+			ins[i] = PacketIn{
+				Data:     pisa.BuildTCPPacket(uint32(i), 2, 3, 4, 0x10, 64),
+				Features: gen.Record().Features,
+			}
+		case 1:
+			ins[i] = PacketIn{Data: pisa.BuildUDPPacket(uint32(i), 2, 3, 53, 64)}
+		case 2:
+			ins[i] = PacketIn{Data: arp}
+		case 3:
+			ins[i] = PacketIn{Data: pisa.BuildTCPPacket(uint32(i), 2, 3, 4, 0x10, 0)[:i%54]}
 		}
 	}
 	out := make([]Decision, len(ins))
 	if err := dev.ProcessBatch(ins, out); err != nil { // warm up
 		t.Fatal(err)
+	}
+	if got, want := dev.Stats().ParseErrors, len(ins)/4; got != want {
+		t.Fatalf("ParseErrors = %d, want %d (one per truncated frame)", got, want)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := dev.ProcessBatch(ins, out); err != nil {

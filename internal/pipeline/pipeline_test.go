@@ -430,14 +430,30 @@ func TestPipelineConcurrentTraffic(t *testing.T) {
 }
 
 // TestPipelineBatchZeroAlloc asserts the steady-state batch path allocates
-// nothing (the acceptance bar for the traffic plane's hot path).
+// nothing (the acceptance bar for the traffic plane's hot path), on a mix
+// of ML-path TCP, UDP and ARP bypass, and truncated frames the parser drops.
 func TestPipelineBatchZeroAlloc(t *testing.T) {
 	p := newLoadedPipeline(t, 4)
 	ins, out := makeBatch(t, 512, 64)
+	arp := make([]byte, 42)
+	arp[12], arp[13] = 0x08, 0x06
+	for i := range ins {
+		switch i % 8 {
+		case 1, 5:
+			ins[i] = core.PacketIn{Data: pisa.BuildUDPPacket(uint32(i), 2, 3, 53, 64)}
+		case 2:
+			ins[i] = core.PacketIn{Data: arp}
+		case 3:
+			ins[i] = core.PacketIn{Data: ins[i].Data[:i%54]}
+		}
+	}
 	for i := 0; i < 3; i++ { // warm up: registers touched, buffers sized
 		if _, err := p.ProcessBatch(ins, out); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if got, want := p.Stats().ParseErrors, 3*len(ins)/8; got != want {
+		t.Fatalf("ParseErrors = %d after warm-up, want %d (one per truncated frame)", got, want)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		if _, err := p.ProcessBatch(ins, out); err != nil {

@@ -1,6 +1,7 @@
 package pisa
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -89,12 +90,30 @@ func TestStandardParserTCP(t *testing.T) {
 	}
 }
 
+// TestParserShortPacket cuts a TCP frame at every length short of its
+// headers: each cut is refused with ErrTruncated after consuming the
+// headers that did fit.
 func TestParserShortPacket(t *testing.T) {
 	l := stdLayout()
 	parser, _ := StandardParser(l)
 	phv := NewPHV(l)
-	if _, err := parser.Parse(make([]byte, 10), phv); err == nil {
-		t.Error("short packet should fail")
+	tcp := BuildTCPPacket(1, 2, 3, 4, 0, 0)
+	for n := 0; n < len(tcp); n++ {
+		phv.Reset()
+		consumed, err := parser.Parse(tcp[:n], phv)
+		if !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%d-byte frame: %v, want ErrTruncated", n, err)
+		}
+		want := 0
+		switch {
+		case n >= 34:
+			want = 34
+		case n >= 14:
+			want = 14
+		}
+		if consumed != want {
+			t.Errorf("%d-byte frame consumed %d, want %d", n, consumed, want)
+		}
 	}
 }
 
@@ -129,6 +148,30 @@ func TestParserValidation(t *testing.T) {
 	if _, err := NewParser(l, "s", bad2); err == nil {
 		t.Error("unknown field should fail")
 	}
+	dangling := &ParseState{
+		Name: "s", HeaderLen: 1,
+		Fields:      []FieldSpec{{Name: "f", Offset: 0, WidthBits: 8}},
+		SelectField: "f",
+		Transitions: map[int32]string{1: "nowhere"},
+	}
+	if _, err := NewParser(l, "s", dangling); err == nil {
+		t.Error("transition to an undefined state should fail")
+	}
+	badSel := &ParseState{Name: "s", HeaderLen: 1, SelectField: "zzz", Transitions: map[int32]string{1: "s"}}
+	if _, err := NewParser(l, "s", badSel); err == nil {
+		t.Error("select on an unknown field should fail")
+	}
+	negOff := &ParseState{Name: "s", HeaderLen: 4, Fields: []FieldSpec{{Name: "f", Offset: -1, WidthBits: 8}}}
+	if _, err := NewParser(l, "s", negOff); err == nil {
+		t.Error("negative field offset should fail")
+	}
+	if _, err := NewParser(l, "s", &ParseState{Name: "s", HeaderLen: -1}); err == nil {
+		t.Error("negative header length should fail")
+	}
+	dup := &ParseState{Name: "s", HeaderLen: 1}
+	if _, err := NewParser(l, "s", dup, dup); err == nil {
+		t.Error("duplicate state should fail")
+	}
 }
 
 func TestParserLoopDetected(t *testing.T) {
@@ -143,8 +186,8 @@ func TestParserLoopDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	phv := NewPHV(l)
-	if _, err := p.Parse(make([]byte, 4), phv); err == nil {
-		t.Error("loop should be detected")
+	if _, err := p.Parse(make([]byte, 4), phv); err == nil || errors.Is(err, ErrTruncated) {
+		t.Errorf("loop: %v, want a loop error", err)
 	}
 }
 
