@@ -14,6 +14,7 @@ import (
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/ml"
 	"taurus/internal/model"
+	"taurus/internal/obs"
 	"taurus/internal/pipeline"
 	"taurus/internal/tensor"
 	"taurus/internal/trafficgen"
@@ -635,8 +636,8 @@ func TestPSIDetectsVarianceWidening(t *testing.T) {
 		t.Errorf("mean-shift detector unexpectedly fired (mean %.1f vs ref %.1f) — widening is no longer mean-preserving, retune the test",
 			st.LastMeanScore, st.RefMeanScore)
 	}
-	if psiCtrl.Stats().LastPSI <= psiCtrl.cfg.PSIThreshold {
-		t.Errorf("post-widening PSI %.3f not above threshold %.3f", psiCtrl.Stats().LastPSI, psiCtrl.cfg.PSIThreshold)
+	if psiCtrl.Stats().LastPSI <= psiCtrl.f.cfg.PSIThreshold {
+		t.Errorf("post-widening PSI %.3f not above threshold %.3f", psiCtrl.Stats().LastPSI, psiCtrl.f.cfg.PSIThreshold)
 	}
 }
 
@@ -686,4 +687,158 @@ func TestPSIDiscreteScores(t *testing.T) {
 	if !fired {
 		t.Errorf("PSI missed the category-mix shift (last PSI %.3f)", ctrl.Stats().LastPSI)
 	}
+}
+
+// driftController feeds ctrl a reference at mean score 64 and then a hard
+// shift to 160 until drift is declared.
+func driftController(t *testing.T, ctrl *Controller, rng *rand.Rand) {
+	t.Helper()
+	for w := 0; w < 2; w++ {
+		ctrl.Observe(scoreDecisions(normalScores(rng, 256, 64, 4)))
+	}
+	for w := 0; w < 4; w++ {
+		if ctrl.Observe(scoreDecisions(normalScores(rng, 256, 160, 4))) {
+			return
+		}
+	}
+	t.Fatal("drift never detected; test needs retuning")
+}
+
+// TestControllerSourceDeadline: the Controller pulls labels through the
+// fleet's pooling, so Config.SourceDeadline bounds its one source too. A
+// source that blocks fails the retrain in bounded time — Err set, drift
+// latch re-armed — and a retrain while the abandoned call still runs skips
+// the source instead of invoking it concurrently with itself.
+func TestControllerSourceDeadline(t *testing.T) {
+	var mu sync.Mutex
+	inside, maxInside := 0, 0
+	release := make(chan struct{})
+	defer close(release)
+	blocking := func(n int) []dataset.Record {
+		mu.Lock()
+		inside++
+		if inside > maxInside {
+			maxInside = inside
+		}
+		mu.Unlock()
+		<-release
+		mu.Lock()
+		inside--
+		mu.Unlock()
+		return make([]dataset.Record, n)
+	}
+	cfg := DefaultConfig()
+	cfg.SampleEvery = 1
+	cfg.Window = 256
+	cfg.RefWindows = 2
+	cfg.SourceDeadline = 20 * time.Millisecond
+	ctrl, err := New(nopPusher{}, stubModel{}, fixed.NewQuantizer(1), blocking, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driftController(t, ctrl, rand.New(rand.NewSource(7)))
+	if !ctrl.Drifted() {
+		t.Fatal("Drifted() false after drift was declared")
+	}
+
+	for i := 0; i < 2; i++ {
+		done := make(chan error, 1)
+		go func() { done <- ctrl.RetrainNow() }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("retrain %d with a blocked source succeeded", i)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("retrain %d stalled on the blocked source despite the deadline", i)
+		}
+		if ctrl.Err() == nil {
+			t.Errorf("retrain %d: Err() empty after the source timed out", i)
+		}
+		if ctrl.Drifted() {
+			t.Errorf("retrain %d: failed retrain left the drift flag latched", i)
+		}
+	}
+	if st := ctrl.Stats(); st.Retrains != 0 {
+		t.Errorf("retrains = %d, want 0", st.Retrains)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if maxInside != 1 {
+		t.Errorf("label source ran %d times concurrently, want exactly 1", maxInside)
+	}
+}
+
+// TestControllerMetricLabels pins the Controller's registry series: the
+// retrain counter carries the controller's {ctl=N}, the detector counters
+// add the one member's {member="member-0"}, and every counter agrees with
+// Stats().
+func TestControllerMetricLabels(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := DefaultConfig()
+	cfg.SampleEvery = 1
+	cfg.Window = 256
+	cfg.RefWindows = 2
+	cfg.Obs = reg
+	src := func(n int) []dataset.Record { return make([]dataset.Record, n) }
+	ctrl, err := New(nopPusher{}, stubModel{}, fixed.NewQuantizer(1), src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driftController(t, ctrl, rand.New(rand.NewSource(7)))
+	if err := ctrl.RetrainNow(); err != nil {
+		t.Fatal(err)
+	}
+
+	series := map[string]obs.Metric{}
+	for _, m := range reg.Snapshot() {
+		if _, dup := series[m.Name]; dup {
+			t.Fatalf("%s registered more than once: %v", m.Name, m.Labels)
+		}
+		series[m.Name] = m
+	}
+	retrains, ok := series["taurus.ctl.retrains"]
+	if !ok {
+		t.Fatal("taurus.ctl.retrains not registered")
+	}
+	if len(retrains.Labels) != 1 || retrains.Labels[0].Key != "ctl" {
+		t.Fatalf("taurus.ctl.retrains labels = %v, want {ctl=N}", retrains.Labels)
+	}
+	ctl := retrains.Labels[0]
+	wantDet := []obs.Label{ctl, obs.L("member", "member-0")}
+
+	st := ctrl.Stats()
+	if st.Retrains != 1 || st.Drifts == 0 {
+		t.Fatalf("stats %+v: want one retrain after a detected drift", st)
+	}
+	for name, want := range map[string]int{
+		"taurus.ctl.retrains": st.Retrains,
+		"taurus.ctl.sampled":  st.Sampled,
+		"taurus.ctl.windows":  st.Windows,
+		"taurus.ctl.drifts":   st.Drifts,
+	} {
+		m, ok := series[name]
+		if !ok {
+			t.Errorf("%s not registered", name)
+			continue
+		}
+		if name != "taurus.ctl.retrains" && !equalLabels(m.Labels, wantDet) {
+			t.Errorf("%s labels = %v, want %v", name, m.Labels, wantDet)
+		}
+		if int(m.Value) != want {
+			t.Errorf("%s = %d, Stats() reports %d", name, m.Value, want)
+		}
+	}
+}
+
+func equalLabels(a, b []obs.Label) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -5,12 +5,12 @@ import (
 	"taurus/internal/obs"
 )
 
-// detector is the drift-detection state machine shared by the single-switch
-// Controller and every Fleet member: it samples data-plane decisions into
+// detector is the drift-detection state machine of one Fleet member (a
+// Controller's single member included): it samples data-plane decisions into
 // observation windows, maintains the reference profile, evaluates the
 // configured statistic when a window completes, and latches a drift verdict
-// until the next re-arm. It holds no lock of its own — the owning Controller
-// or Fleet serialises access.
+// until the next re-arm. It holds no lock of its own — the owning member's
+// lock serialises access.
 type detector struct {
 	cfg *Config
 
@@ -44,8 +44,8 @@ type detector struct {
 	lastKS        float64
 }
 
-// bind registers the detector's cumulative counters. Every owner (Controller
-// construction, Fleet registration) binds before the first observe.
+// bind registers the detector's cumulative counters. Fleet registration
+// binds before the member's first observe.
 func (d *detector) bind(reg *obs.Registry, labels []obs.Label) {
 	d.sampled = reg.Counter("taurus.ctl.sampled", labels...)
 	d.windows = reg.Counter("taurus.ctl.windows", labels...)
@@ -168,7 +168,7 @@ func (d *detector) clearLatch() {
 }
 
 // stats renders the detector's counters in the exported Stats shape (the
-// retrain counters are the owner's).
+// retrain counters are the fleet's).
 func (d *detector) stats() Stats {
 	return Stats{
 		Sampled:       int(d.sampled.Value()),

@@ -17,13 +17,14 @@ import (
 	"taurus/internal/obs"
 )
 
-// fleetOrdinal numbers fleets for default telemetry labels ({fleet=N}),
-// the fleet-scope twin of ctlOrdinal. Member detectors add {member=<name>}.
+// fleetOrdinal numbers fleets for default telemetry labels ({fleet=N}).
+// Member detectors add {member=<name>}.
 var fleetOrdinal atomic.Int64
 
-// Fleet is one control plane driving N switches: the §3.3.1 split scaled
-// out to a real deployment, where a single trainer serves many data planes,
-// each seeing its own traffic mix. The fleet owns one model.Deployable;
+// Fleet is the control loop: one trainer driving N ≥ 1 switches — the
+// §3.3.1 split scaled out to a real deployment, where a single trainer
+// serves many data planes, each seeing its own traffic mix. (A Controller is
+// a Fleet with exactly one member.) The fleet owns one model.Deployable;
 // every registered member ("switch") gets its own drift detector over its
 // own decision stream and its own labelled-telemetry source. Drift on any
 // member triggers one shared retrain: labels are pooled from the drifted
@@ -32,18 +33,23 @@ var fleetOrdinal atomic.Int64
 // model is Fit once, Lowered once against the pinned input domain, and the
 // one lowered graph is pushed to every member.
 //
-// The push is atomic across the fleet: if any member rejects the graph, the
-// members already updated are rolled back to the previously pushed graph,
-// so the fleet never serves traffic from a mix of models. (Before the first
-// successful fleet push there is no previous graph to restore; a failure
-// there leaves the deployment-time weights only on the members not yet
-// touched, and the error names the members that already diverged.)
+// The push is atomic across the fleet: if any member rejects the graph, or
+// its serving tape fails the post-push recheck, the members already updated
+// are rolled back to the previously pushed graph, so the fleet never serves
+// traffic from a mix of models nor from weights that did not verify.
+// (Before the first successful fleet push there is no previous graph to
+// restore; a failure there leaves the deployment-time weights only on the
+// members not yet touched, and the error names the members that already
+// diverged.)
 //
-// Like the single-switch Controller, the fleet runs synchronously —
-// per-member Observe calls plus RetrainNow when one returns true — or in
-// the background via Start/Close, where drift on any member kicks the
-// shared retrain worker. The kick channel coalesces: simultaneous drift on
-// several members still triggers one retrain, which answers all of them.
+// The fleet runs synchronously — per-member Observe calls plus RetrainNow
+// when one returns true — or in the background via Start/Close, where drift
+// on any member kicks the shared retrain worker. The kick channel coalesces:
+// simultaneous drift on several members still triggers one retrain, which
+// answers all of them. Because Observe fills the one-slot kick buffer in
+// both modes, a completed retrain drains any kick still pending — it was
+// answered by that retrain, and leaving it buffered would fire a spurious
+// retrain the moment Start (or a Close → Start restart) brings a worker up.
 type Fleet struct {
 	cfg Config
 	inQ fixed.Quantizer
@@ -66,13 +72,17 @@ type Fleet struct {
 	obsLabels []obs.Label
 	tracer    *obs.Tracer
 
-	// trainMu serialises retrains — and, since PR 6, membership changes:
-	// Register's catch-up push and Deregister's never-pulled-again guarantee
-	// both hold only if they cannot interleave with an in-flight retrain.
+	// trainMu serialises retrains and membership changes: Register's
+	// catch-up push and Deregister's never-pulled-again guarantee both hold
+	// only if they cannot interleave with an in-flight retrain. The model
+	// belongs to the retrain path exclusively.
 	trainMu sync.Mutex
 	model   model.Deployable
 
-	// Distributed fit (Config.DistFit); see the Controller's twin fields.
+	// Distributed fit (Config.DistFit). The coordinator's lifecycle runs
+	// under trainMu; the pointer itself is additionally guarded by mu so
+	// DistFit() can read it without blocking on a retrain. reissuedBase
+	// carries the re-issue count across coordinator respawns.
 	pf           model.PartialFitter
 	dfCfg        distfit.Config
 	coord        *distfit.Coordinator
@@ -439,32 +449,23 @@ func (f *Fleet) RetrainNow() error {
 	if err := f.push(span, g); err != nil {
 		return f.fail(span, err)
 	}
-	// Post-push audit, per member: any pusher exposing RecheckTape (a device
-	// or pipeline) re-verifies its installed tape against the live graph. A
-	// member on interpreter fallback passes vacuously (see Device.RecheckTape).
-	for _, m := range f.snapshot() {
-		if rc, ok := m.pusher.(TapeRechecker); ok {
-			if err := rc.RecheckTape(); err != nil {
-				f.tracer.Emitf(span, "tapecheck.fail", "member=%q post-push recheck: err=%q", m.name, err.Error())
-				return f.fail(span, fmt.Errorf("controlplane: post-push tape recheck on fleet member %q: %w", m.name, err))
-			}
-			f.tracer.Emitf(span, "tapecheck.pass", "member=%q post-push recheck", m.name)
-		}
-	}
 	if f.cfg.OnPush != nil {
 		f.cfg.OnPush()
 	}
 
 	members := f.snapshot()
-	pooled := make(map[*fleetMember]int, len(pool))
-	for i, m := range pool {
-		pooled[m] = contrib[i]
-	}
 	for _, m := range members {
 		m.mu.Lock()
 		m.det.rearm()
 		m.sampledAtRetrain = int(m.det.sampled.Value())
-		m.pooled = pooled[m]
+		m.pooled = 0
+		m.mu.Unlock()
+	}
+	// Retrains and Deregister serialise on trainMu, so every pool member is
+	// still among members.
+	for i, m := range pool {
+		m.mu.Lock()
+		m.pooled = contrib[i]
 		m.mu.Unlock()
 	}
 	f.tracer.Emitf(span, "push.done", "records=%d members=%d", n, len(members))
@@ -477,8 +478,11 @@ func (f *Fleet) RetrainNow() error {
 		f.lastWorkers = coord.Stats().LiveWorkers
 	}
 	f.mu.Unlock()
-	// Drain the stale kick, exactly as the single-switch controller does:
-	// this retrain answered every pending drift signal.
+	// Drain the stale kick: Observe fills the buffered channel even in
+	// synchronous mode, so without the drain a later Start() would
+	// immediately re-answer drift this push already resolved. New drift
+	// cannot be declared before the re-armed references complete, so a
+	// genuine kick cannot race into this window.
 	select {
 	case <-f.kick:
 	default:
@@ -537,29 +541,35 @@ func (f *Fleet) pooledSource() ([]*fleetMember, LabelSource, []int, error) {
 	// skipped latches per retrain: a member whose source blocked past the
 	// deadline once is not asked again for this retrain's later chunks.
 	skipped := make([]bool, len(pool))
-	draw := func(i int, m *fleetMember, want int, recs []dataset.Record, remaining *int) []dataset.Record {
-		got, ok := f.pullFrom(m, want)
-		if !ok {
-			// The backpressure guard: a source that blocks past the
-			// deadline is skipped for this whole retrain; its share falls
-			// to the members that answered.
-			skipped[i] = true
-			m.mu.Lock()
-			m.sourceTimeouts++
-			m.mu.Unlock()
-			return recs
-		}
-		contrib[i] += len(got)
-		// Deduct what actually arrived: a member whose label source
-		// under-delivers leaves its shortfall for its siblings, so one dry
-		// source cannot silently shrink the shared pool.
-		*remaining -= len(got)
-		return append(recs, got...)
-	}
 	pull := func(n int) []dataset.Record {
 		recs := make([]dataset.Record, 0, n)
 		remaining := n
-		for i, m := range pool {
+		// dry latches per pull: a member whose source under-delivered has
+		// nothing more to give right now, so this pull's top-up must not ask
+		// it again. A one-member pool thus asks its source exactly once —
+		// an empty source fails the retrain rather than being re-polled.
+		dry := make([]bool, len(pool))
+		draw := func(i int, want int) {
+			got, ok := f.pullFrom(pool[i], want)
+			if !ok {
+				// The backpressure guard: a source that blocks past the
+				// deadline is skipped for this whole retrain; its share
+				// falls to the members that answered.
+				skipped[i] = true
+				pool[i].mu.Lock()
+				pool[i].sourceTimeouts++
+				pool[i].mu.Unlock()
+				return
+			}
+			dry[i] = len(got) < want
+			contrib[i] += len(got)
+			// Deduct what actually arrived: a member whose label source
+			// under-delivers leaves its shortfall for its siblings, so one
+			// dry source cannot silently shrink the shared pool.
+			remaining -= len(got)
+			recs = append(recs, got...)
+		}
+		for i := range pool {
 			if skipped[i] || remaining <= 0 {
 				continue
 			}
@@ -573,19 +583,19 @@ func (f *Fleet) pooledSource() ([]*fleetMember, LabelSource, []int, error) {
 			if want <= 0 {
 				continue
 			}
-			recs = draw(i, m, want, recs, &remaining)
+			draw(i, want)
 		}
-		// Top-up pass: whatever share was lost to timed-out (or dry)
-		// members is re-requested from the members that answered, so the
+		// Top-up pass: whatever share was lost to timed-out or dry members
+		// is re-requested from the members that answered in full, so the
 		// pool only comes up short when every remaining source does.
-		for i, m := range pool {
+		for i := range pool {
 			if remaining <= 0 {
 				break
 			}
-			if skipped[i] {
+			if skipped[i] || dry[i] {
 				continue
 			}
-			recs = draw(i, m, remaining, recs, &remaining)
+			draw(i, remaining)
 		}
 		return recs
 	}
@@ -628,42 +638,70 @@ func (f *Fleet) pullFrom(m *fleetMember, want int) ([]dataset.Record, bool) {
 	}
 }
 
-// push applies g to every member; on a member's failure the members already
-// updated are rolled back to the previously pushed graph so the fleet never
-// serves a mix of models. Before the first successful push there is nothing
-// to roll back to — the error then names the members left serving the new
-// graph so the operator knows the fleet diverged.
+// push applies g to every member and re-verifies each member's serving tape
+// against it: the push mutated the graph the tape aliases, so any pusher
+// exposing RecheckTape (a device or pipeline) proves its compiled path is
+// still a faithful translation (a member on interpreter fallback passes
+// vacuously, see Device.RecheckTape). A member that rejects the graph, or
+// whose recheck fails, aborts the fan-out: the members already updated —
+// including a member whose recheck failed, since its UpdateWeights
+// succeeded — are rolled back to the previously pushed graph, so the fleet
+// never serves a mix of models nor weights that did not verify. Before the
+// first successful push there is nothing to roll back to — the error then
+// names the members left serving the new graph so the operator knows the
+// fleet diverged.
 func (f *Fleet) push(span int64, g *mr.Graph) error {
 	members := f.snapshot()
 	f.mu.Lock()
 	prev := f.lastGraph
 	f.mu.Unlock()
 	for i, m := range members {
+		diverged := members[:i]
 		//clonecheck:owned — fan-out of the retrain's freshly lowered graph; pushers copy weights out
 		//gatecheck:verified — the caller (retrain) passed g through graphcheck.Check/Compatible before push()
-		if err := m.pusher.UpdateWeights(g); err != nil {
-			f.tracer.Emitf(span, "push.rollback", "member=%q rolled_back=%d err=%q", m.name, i, err.Error())
-			if prev == nil {
-				if i > 0 {
-					names := make([]string, i)
-					for j, r := range members[:i] {
-						names[j] = r.name
-					}
-					return fmt.Errorf("controlplane: push to fleet member %q failed with no prior fleet push to roll back to; members %v already serve the new model: %w",
-						m.name, names, err)
-				}
-				return fmt.Errorf("controlplane: push to fleet member %q: %w", m.name, err)
+		err := m.pusher.UpdateWeights(g)
+		if err == nil {
+			if err = f.recheck(span, m); err == nil {
+				continue
 			}
-			for _, r := range members[:i] {
-				// prev installed on r once already; structural rejection
-				// cannot recur, and a deeper device failure would leave
-				// the original error the one worth surfacing.
-				//gatecheck:verified — rollback to the previously pushed graph, verified by its own push
-				_ = r.pusher.UpdateWeights(prev) //clonecheck:owned — rollback to the immutable previous push
+			diverged = members[:i+1]
+		}
+		f.tracer.Emitf(span, "push.rollback", "member=%q rolled_back=%d err=%q", m.name, len(diverged), err.Error())
+		if prev == nil {
+			if len(diverged) > 0 {
+				names := make([]string, len(diverged))
+				for j, r := range diverged {
+					names[j] = r.name
+				}
+				return fmt.Errorf("controlplane: push to fleet member %q failed with no prior fleet push to roll back to; members %v already serve the new model: %w",
+					m.name, names, err)
 			}
 			return fmt.Errorf("controlplane: push to fleet member %q: %w", m.name, err)
 		}
+		for _, r := range diverged {
+			// prev installed on r once already; structural rejection
+			// cannot recur, and a deeper device failure would leave
+			// the original error the one worth surfacing.
+			//gatecheck:verified — rollback to the previously pushed graph, verified by its own push
+			_ = r.pusher.UpdateWeights(prev) //clonecheck:owned — rollback to the immutable previous push
+		}
+		return fmt.Errorf("controlplane: push to fleet member %q: %w", m.name, err)
 	}
+	return nil
+}
+
+// recheck runs the post-push tapecheck audit on m's data plane when its
+// pusher is a TapeRechecker.
+func (f *Fleet) recheck(span int64, m *fleetMember) error {
+	rc, ok := m.pusher.(TapeRechecker)
+	if !ok {
+		return nil
+	}
+	if err := rc.RecheckTape(); err != nil {
+		f.tracer.Emitf(span, "tapecheck.fail", "member=%q post-push recheck: err=%q", m.name, err.Error())
+		return fmt.Errorf("post-push tape recheck: %w", err)
+	}
+	f.tracer.Emitf(span, "tapecheck.pass", "member=%q post-push recheck", m.name)
 	return nil
 }
 
@@ -725,10 +763,10 @@ func (f *Fleet) run(done <-chan struct{}) {
 // checkpoint store carries across, so an interrupted distributed round
 // resumes rather than restarts.
 func (f *Fleet) Close() {
-	// Same teardown order as the single-switch Controller: signal the
-	// background worker, abort any in-flight distributed Fit (its ErrClosed
-	// unblocks a retrain stuck waiting on workers), then join the worker —
-	// this order cannot deadlock on a wedged round.
+	// Signal the background worker first, then abort any in-flight
+	// distributed Fit (its ErrClosed unblocks a retrain stuck waiting on
+	// workers), then join the worker — this order cannot deadlock on a
+	// wedged round.
 	f.runMu.Lock()
 	done := f.done
 	f.done = nil

@@ -630,3 +630,95 @@ func TestFleetSourceNeverConcurrent(t *testing.T) {
 		t.Errorf("label source ran %d times concurrently, want at most 1", maxInside)
 	}
 }
+
+// TestFleetDrySourceAskedOncePerPull: a member whose label source returns
+// fewer records than asked is dry for the rest of that pull — the top-up
+// pass draws its shortfall from its sibling instead of asking it again — and
+// is asked afresh on the next pull. Adaptive sizing on a restless model
+// makes one retrain run several pulls.
+func TestFleetDrySourceAskedOncePerPull(t *testing.T) {
+	const perCall = 10
+	var dryCalls int
+	dry := func(n int) []dataset.Record {
+		dryCalls++
+		if n > perCall {
+			n = perCall
+		}
+		return make([]dataset.Record, n)
+	}
+	full := func(n int) []dataset.Record { return make([]dataset.Record, n) }
+
+	t.Run("sibling answers", func(t *testing.T) {
+		dryCalls = 0
+		cfg := DefaultConfig()
+		cfg.RetrainRecords = 100 // chunks of 50
+		cfg.AdaptiveRetrain = true
+		cfg.RetrainMaxRecords = 400 // a restless model runs to the cap: 8 pulls
+		const pulls = 8
+		fl, err := NewFleet(&movingModel{}, fixed.NewQuantizer(1), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The dry member registers last, so its under-delivery is only
+		// noticed after its sibling's share — the top-up pass must make up
+		// the rest.
+		if _, err := fl.Register("full", nopPusher{}, full); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fl.Register("dry", nopPusher{}, dry); err != nil {
+			t.Fatal(err)
+		}
+		if err := fl.RetrainNow(); err != nil {
+			t.Fatal(err)
+		}
+		if dryCalls != pulls {
+			t.Errorf("dry source called %d times over %d pulls, want exactly once per pull", dryCalls, pulls)
+		}
+		st := fl.Stats()
+		if st.LastPoolSize != cfg.RetrainMaxRecords {
+			t.Errorf("pool size = %d, want %d — the dry member's shortfall was not drawn from its sibling",
+				st.LastPoolSize, cfg.RetrainMaxRecords)
+		}
+		if got := st.Members[1].PooledRecords; got != pulls*perCall {
+			t.Errorf("dry member contributed %d records, want %d", got, pulls*perCall)
+		}
+		if got := st.Members[0].PooledRecords; got != cfg.RetrainMaxRecords-pulls*perCall {
+			t.Errorf("full member contributed %d records, want %d", got, cfg.RetrainMaxRecords-pulls*perCall)
+		}
+	})
+
+	// With its sibling timed out, the top-up pass has nobody left to ask:
+	// the dry member must not be re-polled, and the retrain trains on the
+	// short pool.
+	t.Run("sibling stalled", func(t *testing.T) {
+		dryCalls = 0
+		cfg := DefaultConfig()
+		cfg.RetrainRecords = 64
+		cfg.SourceDeadline = 20 * time.Millisecond
+		fl, err := NewFleet(stubModel{}, fixed.NewQuantizer(1), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release := make(chan struct{})
+		defer close(release)
+		stalled := func(n int) []dataset.Record {
+			<-release
+			return make([]dataset.Record, n)
+		}
+		if _, err := fl.Register("dry", nopPusher{}, dry); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fl.Register("stalled", nopPusher{}, stalled); err != nil {
+			t.Fatal(err)
+		}
+		if err := fl.RetrainNow(); err != nil {
+			t.Fatal(err)
+		}
+		if dryCalls != 1 {
+			t.Errorf("dry source called %d times in one pull, want 1", dryCalls)
+		}
+		if got := fl.Stats().LastPoolSize; got != perCall {
+			t.Errorf("pool size = %d, want the dry member's %d", got, perCall)
+		}
+	})
+}

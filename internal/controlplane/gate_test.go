@@ -173,3 +173,111 @@ func TestFleetRejectsIncompatibleLowering(t *testing.T) {
 		t.Errorf("member saw %d pushes, want 1", got)
 	}
 }
+
+// recheckPusher is a recordPusher whose post-push tape recheck fails on
+// demand.
+type recheckPusher struct {
+	recordPusher
+	rechecks      int
+	failRecheckAt int // fail the Nth recheck (1-based); 0 = never
+}
+
+func (p *recheckPusher) RecheckTape() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.rechecks++
+	if p.rechecks == p.failRecheckAt {
+		return errors.New("injected tape recheck failure")
+	}
+	return nil
+}
+
+// TestFleetRecheckFailureRollsBack: a member whose tape fails the post-push
+// recheck must not keep serving the unverified weights — every member,
+// including the failing one (its UpdateWeights succeeded), is rolled back
+// to the previous push, and the cycle is not counted as a retrain.
+func TestFleetRecheckFailureRollsBack(t *testing.T) {
+	fl, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), gateConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &recheckPusher{}
+	b := &recheckPusher{failRecheckAt: 2}
+	if _, err := fl.Register("a", a, labelSrc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fl.Register("b", b, labelSrc); err != nil {
+		t.Fatal(err)
+	}
+	if err := fl.RetrainNow(); err != nil {
+		t.Fatalf("first retrain: %v", err)
+	}
+	g1 := a.pushed()[0]
+	if err := fl.RetrainNow(); err == nil {
+		t.Fatal("second retrain should have surfaced the failed tape recheck")
+	}
+	for name, p := range map[string]*recheckPusher{"a": a, "b": b} {
+		got := p.pushed()
+		if last := got[len(got)-1]; last != g1 {
+			t.Errorf("member %s serves %p after the failed recheck, want the first push %p", name, last, g1)
+		}
+	}
+	if st := fl.Stats(); st.Retrains != 1 {
+		t.Errorf("failed cycle counted as a retrain (retrains = %d)", st.Retrains)
+	}
+	if fl.Err() == nil {
+		t.Error("Err() empty after a failed tape recheck")
+	}
+}
+
+// TestFleetFirstPushRecheckFailureNamesDiverged: with no previous push to
+// restore, a failed recheck names every member left serving the new graph —
+// the failing member included.
+func TestFleetFirstPushRecheckFailureNamesDiverged(t *testing.T) {
+	fl, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), gateConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fl.Register("a", &recheckPusher{}, labelSrc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fl.Register("b", &recheckPusher{failRecheckAt: 1}, labelSrc); err != nil {
+		t.Fatal(err)
+	}
+	err = fl.RetrainNow()
+	if err == nil {
+		t.Fatal("first retrain should have surfaced the failed tape recheck")
+	}
+	if !strings.Contains(err.Error(), "[a b]") {
+		t.Errorf("error does not name the diverged members [a b]: %v", err)
+	}
+}
+
+// TestControllerRecheckFailureRollsBack: the single-switch loop takes the
+// same rollback path — a push whose recheck fails is replaced by the
+// previous push.
+func TestControllerRecheckFailureRollsBack(t *testing.T) {
+	p := &recheckPusher{failRecheckAt: 2}
+	ctrl, err := New(p, liveModel{}, fixed.NewQuantizer(1), labelSrc, gateConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.RetrainNow(); err != nil {
+		t.Fatalf("first retrain: %v", err)
+	}
+	g1 := p.pushed()[0]
+	if err := ctrl.RetrainNow(); err == nil {
+		t.Fatal("second retrain should have surfaced the failed tape recheck")
+	}
+	got := p.pushed()
+	if len(got) != 3 || got[2] != g1 {
+		t.Errorf("pusher saw %d pushes, last == first push: %v — unverified weights left serving",
+			len(got), len(got) == 3 && got[2] == g1)
+	}
+	if st := ctrl.Stats(); st.Retrains != 1 {
+		t.Errorf("failed cycle counted as a retrain (retrains = %d)", st.Retrains)
+	}
+	if ctrl.Err() == nil {
+		t.Error("Err() empty after a failed tape recheck")
+	}
+}

@@ -537,12 +537,14 @@ func WithRetrainInterval(d time.Duration) ControllerOption {
 	return func(o *controllerOptions) { o.cp.RetrainInterval = d }
 }
 
-// WithSourceDeadline bounds how long a Fleet retrain waits on any one
-// member's label source: a member whose source has not returned after d is
-// skipped for that retrain (its FleetMemberStats.SourceTimeouts increments)
-// and its pool share is re-drawn from the members that answered, so one
-// stalled source cannot stall or starve the shared loop. Default: wait
-// indefinitely. Fleet pooling only.
+// WithSourceDeadline bounds how long a retrain waits on any one member's
+// label source: a member whose source has not returned after d is skipped
+// for that retrain (its FleetMemberStats.SourceTimeouts increments) and its
+// pool share is re-drawn from the members that answered, so one stalled
+// source cannot stall or starve the shared loop. A Controller's single
+// source has no sibling to fall back on: a timeout fails that retrain (Err
+// is set and drift can re-trigger) instead of blocking it. Default: wait
+// indefinitely.
 func WithSourceDeadline(d time.Duration) ControllerOption {
 	return func(o *controllerOptions) { o.cp.SourceDeadline = d }
 }
