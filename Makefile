@@ -5,8 +5,11 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# The perfbench module is the repo benchmark's harness; ./... does not reach
+# it, so its tests run here too and a broken API it depends on fails locally.
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) test ./...
 
 # The traffic-plane benchmarks double as the reproduction harness; -benchmem
 # also asserts the zero-allocation hot path (0 B/op on the batch plane).

@@ -4,14 +4,14 @@
 //
 // With -check it instead runs both static verifiers and prints their full
 // reports, exiting non-zero if either rejects: the graph verifier
-// (internal/graphcheck) — value ranges, resource census, dead nodes, II
-// estimate — and the tape verifier (internal/sched/tapecheck), which
+// (internal/graphcheck) — value ranges, resource census, dead nodes,
+// critical path — and the tape verifier (internal/sched/tapecheck), which
 // translation-validates the compiled instruction tape against the graph
 // (semantic equivalence, interval soundness, weight aliasing, arena and
-// schedule bounds). The graph verifier's depth-only CriticalPathCycles/EstII
-// are printed next to the list scheduler's measured depth and II
-// (internal/sched), with a warning when the estimate turns out optimistic
-// about resource contention. -json renders both reports as one JSON document
+// schedule bounds). The list scheduler's depth and II (internal/sched) — the
+// II the device charges — are printed next to the graph verifier's
+// resource-blind critical path, with a warning when that path undercounts
+// the scheduled depth. -json renders both reports as one JSON document
 // instead of text.
 //
 // Usage:
@@ -153,22 +153,18 @@ func runCheck(g *mr.Graph, asJSON bool) error {
 		os.Exit(1)
 	}
 	if !asJSON {
-		// Measured schedule next to the static estimate: the verifier's
-		// CriticalPathCycles/EstII are resource-blind, the list schedule is
-		// packed under the grid's issue capacity.
+		// Measured schedule next to the static depth: the verifier's
+		// CriticalPathCycles is resource-blind, the list schedule is packed
+		// under the grid's issue capacity.
 		s, err := sched.Plan(g, cgra.DefaultGrid())
 		if err != nil {
 			return fmt.Errorf("graph verifies but does not schedule: %w", err)
 		}
 		fmt.Printf("\nscheduled (list schedule on %dx%d grid):\n", s.Spec.Rows, s.Spec.Cols)
 		fmt.Printf("  depth:     %d cycles (graphcheck estimate %d)\n", s.Depth, rep.CriticalPathCycles)
-		fmt.Printf("  II:        %d (graphcheck estimate %d)\n", s.II, rep.EstII)
+		fmt.Printf("  II:        %d\n", s.II)
 		fmt.Printf("  bundles:   %d CU issues, peak width %d, occupancy %.0f%%\n",
 			s.CUIssues, s.MaxBundle, 100*s.Occupancy())
-		if rep.EstII < s.II {
-			fmt.Printf("  WARNING: estimate is optimistic: EstII %d < scheduled II %d (resource contention)\n",
-				rep.EstII, s.II)
-		}
 		if rep.CriticalPathCycles < s.Depth {
 			fmt.Printf("  WARNING: estimate is optimistic: critical path %d < scheduled depth %d\n",
 				rep.CriticalPathCycles, s.Depth)

@@ -99,8 +99,8 @@ func main() {
 	}
 	after := measure(4000)
 	fmt.Printf("per-packet F1 after the weight update:    %.1f\n", after)
-	fmt.Printf("model latency unchanged at %.0f ns (II=%d)\n",
-		dev.ModelLatencyNs(), dev.ModelII())
+	fmt.Printf("model latency unchanged at %.0f ns (scheduled II=%d)\n",
+		dev.ModelLatencyNs(), dev.ScheduledII())
 	if after <= before {
 		fmt.Println("note: update did not improve F1 on this draw")
 	}

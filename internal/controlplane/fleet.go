@@ -641,8 +641,7 @@ func (f *Fleet) pullFrom(m *fleetMember, want int) ([]dataset.Record, bool) {
 // push applies g to every member and re-verifies each member's serving tape
 // against it: the push mutated the graph the tape aliases, so any pusher
 // exposing RecheckTape (a device or pipeline) proves its compiled path is
-// still a faithful translation (a member on interpreter fallback passes
-// vacuously, see Device.RecheckTape). A member that rejects the graph, or
+// still a faithful translation. A member that rejects the graph, or
 // whose recheck fails, aborts the fan-out: the members already updated —
 // including a member whose recheck failed, since its UpdateWeights
 // succeeded — are rolled back to the previously pushed graph, so the fleet

@@ -27,8 +27,8 @@ import (
 
 	// tapecheck both arms sched.Compile's translation-validation gate —
 	// every tape a Device installs has been statically verified against its
-	// source graph, and a rejected tape is a counted interpreter fallback —
-	// and backs RecheckTape's post-push revalidation of the serving tape.
+	// source graph, and a rejected tape refuses the install — and backs
+	// RecheckTape's post-push revalidation of the serving tape.
 	"taurus/internal/sched/tapecheck"
 )
 
@@ -74,9 +74,11 @@ type Stats struct {
 	Processed, MLInferences, Bypassed int
 	Forwarded, Flagged, Dropped       int
 	ParseErrors                       int
-	// TapeFallbacks counts model installs that fell back to the interpreter
-	// because the compiled tape was refused — by the list scheduler or by
-	// tapecheck's translation validator (see Device.TapeFallbackReason).
+	// TapeFallbacks is always 0.
+	//
+	// Deprecated: a device serves only its verified tape; a tape the
+	// scheduler or tapecheck refuses fails the install instead of falling
+	// back to an interpreter. The field stays for existing readers.
 	TapeFallbacks int
 	// ModelBusyNs is the modelled occupancy of this device's MapReduce
 	// block: each ML packet holds an issue slot for II cycles (1 ns each at
@@ -94,7 +96,6 @@ func (s *Stats) Add(other Stats) {
 	s.Flagged += other.Flagged
 	s.Dropped += other.Dropped
 	s.ParseErrors += other.ParseErrors
-	s.TapeFallbacks += other.TapeFallbacks
 	s.ModelBusyNs += other.ModelBusyNs
 }
 
@@ -130,7 +131,8 @@ type Config struct {
 	// explicit label set share instruments, so their Stats() merge.
 	ObsLabels []obs.Label
 	// Tracer receives the device's control-plane events — today the
-	// tape-fallback verdict on model install (obs.DefaultTracer() when nil).
+	// tape.refused verdict of a failed model install (obs.DefaultTracer()
+	// when nil).
 	Tracer *obs.Tracer
 }
 
@@ -155,20 +157,13 @@ type Device struct {
 	flowValid *pisa.RegisterArray
 
 	model *compiler.Result
-	eval  *mr.Evaluator
-	// prog is the compiled evaluation tape for the installed model. The hot
-	// path prefers it over the interpreter; it stays nil when list scheduling
-	// fails, and eval serves every inference (the fallback contract).
-	prog *sched.Program
-	// schedII is prog's measured initiation interval (0 on fallback).
-	schedII int
-	// tapeErr records why the last install fell back to the interpreter
-	// ("" when the compiled tape is serving).
-	tapeErr   string
+	// prog is the compiled, translation-validated evaluation tape of the
+	// installed model — the only executor on the hot path. It is set and
+	// cleared together with model.
+	prog      *sched.Program
 	mlIdx     []int // ML staging slots for ProcessIndexed, cap = prog batch
 	inQ       fixed.Quantizer
 	modelLat  float64
-	modelII   int
 	phv       *pisa.PHV
 	featureID []pisa.FieldID
 	bypassID  pisa.FieldID
@@ -192,14 +187,13 @@ type Device struct {
 // devMetrics are the device's registry instruments, all sharing one label
 // set. The dotted names live under taurus.device.*.
 type devMetrics struct {
-	processed     *obs.Counter
-	mlInferences  *obs.Counter
-	bypassed      *obs.Counter
-	forwarded     *obs.Counter
-	flagged       *obs.Counter
-	dropped       *obs.Counter
-	parseErrors   *obs.Counter
-	tapeFallbacks *obs.Counter
+	processed    *obs.Counter
+	mlInferences *obs.Counter
+	bypassed     *obs.Counter
+	forwarded    *obs.Counter
+	flagged      *obs.Counter
+	dropped      *obs.Counter
+	parseErrors  *obs.Counter
 	// modelBusyNs accumulates the MapReduce block's modelled occupancy in
 	// integral nanoseconds (II per ML packet, one cycle per bypass).
 	modelBusyNs *obs.Counter
@@ -221,16 +215,15 @@ var devOrdinal atomic.Int64
 
 func bindDevMetrics(reg *obs.Registry, labels []obs.Label) devMetrics {
 	return devMetrics{
-		processed:     reg.Counter("taurus.device.processed", labels...),
-		mlInferences:  reg.Counter("taurus.device.ml_inferences", labels...),
-		bypassed:      reg.Counter("taurus.device.bypassed", labels...),
-		forwarded:     reg.Counter("taurus.device.forwarded", labels...),
-		flagged:       reg.Counter("taurus.device.flagged", labels...),
-		dropped:       reg.Counter("taurus.device.dropped", labels...),
-		parseErrors:   reg.Counter("taurus.device.parse_errors", labels...),
-		tapeFallbacks: reg.Counter("taurus.device.tape_fallbacks", labels...),
-		modelBusyNs:   reg.Counter("taurus.device.model_busy_ns", labels...),
-		serviceNs:     reg.Histogram("taurus.device.service_ns", labels...),
+		processed:    reg.Counter("taurus.device.processed", labels...),
+		mlInferences: reg.Counter("taurus.device.ml_inferences", labels...),
+		bypassed:     reg.Counter("taurus.device.bypassed", labels...),
+		forwarded:    reg.Counter("taurus.device.forwarded", labels...),
+		flagged:      reg.Counter("taurus.device.flagged", labels...),
+		dropped:      reg.Counter("taurus.device.dropped", labels...),
+		parseErrors:  reg.Counter("taurus.device.parse_errors", labels...),
+		modelBusyNs:  reg.Counter("taurus.device.model_busy_ns", labels...),
+		serviceNs:    reg.Histogram("taurus.device.service_ns", labels...),
 	}
 }
 
@@ -243,15 +236,16 @@ func (d *Device) flushTally() {
 	if t.processed != 0 {
 		d.m.processed.Add(int64(t.processed))
 	}
+	ii := d.ScheduledII()
 	if t.mlInferences != 0 {
 		d.m.mlInferences.Add(int64(t.mlInferences))
-		d.m.serviceNs.RecordN(float64(d.serviceII()), int64(t.mlInferences))
+		d.m.serviceNs.RecordN(float64(ii), int64(t.mlInferences))
 	}
 	if t.bypassed != 0 {
 		d.m.bypassed.Add(int64(t.bypassed))
 		d.m.serviceNs.RecordN(bypassCycleNs, int64(t.bypassed))
 	}
-	if busy := int64(t.mlInferences)*int64(d.serviceII()) + int64(t.bypassed); busy != 0 {
+	if busy := int64(t.mlInferences)*int64(ii) + int64(t.bypassed); busy != 0 {
 		d.m.modelBusyNs.Add(busy)
 	}
 	if t.forwarded != 0 {
@@ -414,43 +408,31 @@ func (d *Device) LoadModel(g *mr.Graph, inQ fixed.Quantizer, opts compiler.Optio
 // compiled design across many devices — the pipeline's shards — compile
 // once and install per device with a shard-local graph clone, instead of
 // paying for placement per shard.
+//
+// The install list-schedules the graph on the placed grid and emits the
+// fused tape, which sched.Compile hands through tapecheck's translation
+// validator. A graph the scheduler refuses (e.g. a LUT model on a grid with
+// no MUs) or a tape the validator rejects refuses the install: the refusal
+// is journalled as tape.refused, and the device keeps serving the model it
+// had, untouched.
 func (d *Device) InstallModel(res *compiler.Result, inQ fixed.Quantizer) error {
 	if err := d.checkModel(res.Graph); err != nil {
 		return err
 	}
-	eval, err := mr.NewEvaluator(res.Graph)
-	if err != nil {
-		return err
-	}
-	// Compile the hot path: list-schedule the graph on the placed grid and
-	// emit the fused tape, which sched.Compile hands through tapecheck's
-	// translation validator before returning it. A graph the scheduler
-	// refuses (e.g. a LUT model on a grid with no MUs) — or a tape the
-	// validator rejects as an unfaithful translation — falls back to the
-	// interpreter; the device still serves it, just without the compiled
-	// fast path or measured II, and the fallback is counted in Stats.
 	grid := d.cfg.Grid
 	if res.Placement != nil && res.Placement.Spec != (cgra.GridSpec{}) {
 		grid = res.Placement.Spec
 	}
-	d.model = res
-	d.eval = eval
-	d.prog = nil
-	d.schedII = 0
-	d.mlIdx = nil
-	d.tapeErr = ""
-	if prog, perr := sched.Compile(res.Graph, grid); perr == nil {
-		d.prog = prog
-		d.schedII = prog.Schedule().II
-		d.mlIdx = make([]int, 0, prog.MaxBatch())
-	} else {
-		d.tapeErr = perr.Error()
-		d.m.tapeFallbacks.Inc()
-		d.tracer.Emitf(0, "tape.fallback", "reason=%q", perr.Error())
+	prog, err := sched.Compile(res.Graph, grid)
+	if err != nil {
+		d.tracer.Emitf(0, "tape.refused", "reason=%q", err.Error())
+		return fmt.Errorf("core: install refused: %w", err)
 	}
+	d.model = res
+	d.prog = prog
+	d.mlIdx = make([]int, 0, prog.MaxBatch())
 	d.inQ = inQ
 	d.modelLat = res.Stats.LatencyNs()
-	d.modelII = res.Stats.II
 	return nil
 }
 
@@ -474,14 +456,10 @@ func (d *Device) InputQuantizer() fixed.Quantizer { return d.inQ }
 // state when a multi-device install fails partway.
 func (d *Device) ClearModel() {
 	d.model = nil
-	d.eval = nil
 	d.prog = nil
-	d.schedII = 0
-	d.tapeErr = ""
 	d.mlIdx = nil
 	d.inQ = fixed.Quantizer{}
 	d.modelLat = 0
-	d.modelII = 0
 }
 
 // UpdateWeights swaps the constants and LUT tables of the installed model
@@ -632,9 +610,7 @@ func (d *Device) ProcessInto(in PacketIn, dec *Decision) error {
 	return err
 }
 
-// processInto is ProcessInto without the instrument flush — the shared inner
-// path, so ProcessIndexed's interpreter loop flushes once per batch rather
-// than once per packet.
+// processInto is ProcessInto without the instrument flush.
 //
 // hotpath: zero-alloc
 func (d *Device) processInto(in PacketIn, dec *Decision) error {
@@ -647,19 +623,10 @@ func (d *Device) processInto(in PacketIn, dec *Decision) error {
 		return nil
 	}
 	// Hand the dense feature vector to the MapReduce block (Figure 7): the
-	// compiled tape when the schedule built, the interpreter otherwise. Both
-	// read through preallocated input buffers.
-	var score int32
-	if d.prog != nil {
-		d.stageCodes(d.prog.In(0), key)
-		d.prog.Run()
-		score = d.prog.Out(0)[0]
-	} else {
-		d.stageCodes(d.eval.Input(0), key)
-		d.eval.Eval()
-		score = d.eval.Output(0)[0]
-	}
-	d.finishML(dec, score)
+	// compiled tape reads it through its preallocated input buffer.
+	d.stageCodes(d.prog.In(0), key)
+	d.prog.Run()
+	d.finishML(dec, d.prog.Out(0)[0])
 	return nil
 }
 
@@ -763,12 +730,12 @@ func (d *Device) ProcessBatch(ins []PacketIn, out []Decision) error {
 
 // ProcessIndexed processes the packets ins[i] for each i in idx (all of ins
 // when idx is nil), writing out[i] — the shape the pipeline's shard workers
-// use, where idx is the shard's partition of a shared batch. When the
-// compiled program is installed, ML packets are staged into its batch arena
-// and swept up to MaxBatch at a time, amortising tape dispatch the way the
-// hardware amortises pipeline fill; decisions are bit-identical to the
-// per-packet path because inference neither reads nor writes flow registers.
-// Error semantics match ProcessBatch.
+// use, where idx is the shard's partition of a shared batch. ML packets are
+// staged into the compiled program's batch arena and swept up to MaxBatch at
+// a time, amortising tape dispatch the way the hardware amortises pipeline
+// fill; decisions are bit-identical to the per-packet path because inference
+// neither reads nor writes flow registers. With no model installed every
+// packet bypasses, so nothing is staged. Error semantics match ProcessBatch.
 //
 // hotpath: zero-alloc
 func (d *Device) ProcessIndexed(ins []PacketIn, out []Decision, idx []int) error {
@@ -783,19 +750,6 @@ func (d *Device) ProcessIndexed(ins []PacketIn, out []Decision, idx []int) error
 			callerErr = err
 		}
 		out[i] = Decision{Verdict: Drop}
-	}
-	if d.prog == nil {
-		for k := 0; k < n; k++ {
-			i := k
-			if idx != nil {
-				i = idx[k]
-			}
-			if err := d.processInto(ins[i], &out[i]); err != nil {
-				fail(i, err)
-			}
-		}
-		d.flushTally()
-		return callerErr
 	}
 	staged := d.mlIdx[:0]
 	for k := 0; k < n; k++ {
@@ -846,15 +800,14 @@ func (d *Device) flushML(staged []int, out []Decision) {
 // taken mid-batch lags by at most that batch.
 func (d *Device) Stats() Stats {
 	return Stats{
-		Processed:     int(d.m.processed.Value()),
-		MLInferences:  int(d.m.mlInferences.Value()),
-		Bypassed:      int(d.m.bypassed.Value()),
-		Forwarded:     int(d.m.forwarded.Value()),
-		Flagged:       int(d.m.flagged.Value()),
-		Dropped:       int(d.m.dropped.Value()),
-		ParseErrors:   int(d.m.parseErrors.Value()),
-		TapeFallbacks: int(d.m.tapeFallbacks.Value()),
-		ModelBusyNs:   float64(d.m.modelBusyNs.Value()),
+		Processed:    int(d.m.processed.Value()),
+		MLInferences: int(d.m.mlInferences.Value()),
+		Bypassed:     int(d.m.bypassed.Value()),
+		Forwarded:    int(d.m.forwarded.Value()),
+		Flagged:      int(d.m.flagged.Value()),
+		Dropped:      int(d.m.dropped.Value()),
+		ParseErrors:  int(d.m.parseErrors.Value()),
+		ModelBusyNs:  float64(d.m.modelBusyNs.Value()),
 	}
 }
 
@@ -868,15 +821,9 @@ func (d *Device) ServiceHist() *obs.Histogram { return d.m.serviceNs }
 // path is serving, against the graph as it stands now — the control plane's
 // post-push audit that a weight update (which mutates the graph the tape
 // aliases) left the compiled path faithful. ErrNoModel before LoadModel.
-// While the interpreter fallback is serving there is no translation to audit
-// (the interpreter evaluates the graph directly), so the recheck is vacuously
-// nil — the fallback itself was journalled and counted at install time.
 func (d *Device) RecheckTape() error {
 	if d.model == nil {
 		return ErrNoModel
-	}
-	if d.prog == nil {
-		return nil
 	}
 	return tapecheck.Check(d.prog)
 }
@@ -885,37 +832,18 @@ func (d *Device) RecheckTape() error {
 // LoadModel).
 func (d *Device) ModelLatencyNs() float64 { return d.modelLat }
 
-// ModelII returns the placed design's initiation interval from the CGRA
-// timing model.
-func (d *Device) ModelII() int { return d.modelII }
-
-// ScheduledII returns the list schedule's measured initiation interval for
-// the installed model, or 0 when the interpreter fallback is active.
-func (d *Device) ScheduledII() int { return d.schedII }
-
-// ServiceII is the initiation interval the service model charges per ML
-// packet: the schedule-measured II when the hot path is compiled, else the
-// placed design's II. pipeline.ServiceModel and the netqueue simulator
-// derive their per-packet service times from this.
-func (d *Device) ServiceII() int { return d.serviceII() }
-
-func (d *Device) serviceII() int {
-	if d.schedII > 0 {
-		return d.schedII
+// ScheduledII returns the initiation interval of the installed model's list
+// schedule (0 before LoadModel): the II the scheduler packed under the
+// grid's issue capacity, which every ML packet is charged in ModelBusyNs and
+// the service histogram. pipeline.ServiceModel and the netqueue simulator
+// derive their per-packet service times from it.
+func (d *Device) ScheduledII() int {
+	if d.prog == nil {
+		return 0
 	}
-	return d.modelII
+	return d.prog.Schedule().II
 }
 
 // CompiledProgram returns the compiled evaluation tape serving the hot path
-// (nil before LoadModel or when scheduling fell back to the interpreter).
+// (nil before LoadModel).
 func (d *Device) CompiledProgram() *sched.Program { return d.prog }
-
-// TapeVerified reports whether the hot path is serving a compiled tape that
-// cleared tapecheck's translation validator. False before LoadModel and while
-// the interpreter fallback is active.
-func (d *Device) TapeVerified() bool { return d.prog != nil }
-
-// TapeFallbackReason returns why the installed model is served by the
-// interpreter instead of a compiled tape — the scheduler's or the translation
-// validator's rejection — or "" when the compiled hot path is active.
-func (d *Device) TapeFallbackReason() string { return d.tapeErr }

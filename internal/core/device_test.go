@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"taurus/internal/compiler"
@@ -240,7 +239,7 @@ func TestModelBusyAccounting(t *testing.T) {
 	if _, err := dev.Process(PacketIn{Data: pkt, Features: rec.Features}); err != nil {
 		t.Fatal(err)
 	}
-	want := float64(dev.ModelII())
+	want := float64(dev.ScheduledII())
 	if got := dev.Stats().ModelBusyNs; got != want {
 		t.Errorf("ML packet busy = %v ns, want II = %v", got, want)
 	}
@@ -295,8 +294,8 @@ func TestDeviceLatencyAccounting(t *testing.T) {
 	if dec.LatencyNs <= BaseSwitchLatencyNs {
 		t.Errorf("ML packet latency %v should exceed base %v", dec.LatencyNs, BaseSwitchLatencyNs)
 	}
-	if dev.ModelLatencyNs() <= 0 || dev.ModelII() != 1 {
-		t.Errorf("model stats: lat=%v II=%d", dev.ModelLatencyNs(), dev.ModelII())
+	if dev.ModelLatencyNs() <= 0 || dev.ScheduledII() != 1 {
+		t.Errorf("model stats: lat=%v II=%d", dev.ModelLatencyNs(), dev.ScheduledII())
 	}
 	// Same flow, second packet: features already accumulated.
 	dec2, err := dev.Process(PacketIn{Data: pkt})
@@ -370,43 +369,59 @@ func TestDeviceStats(t *testing.T) {
 	}
 }
 
-// TestTapeFallbackOnVerifierRejection swaps sched's compile gate for one that
-// rejects every tape and checks the device degrades exactly as documented: the
-// install succeeds on the interpreter, the fallback is counted and explained,
-// and restoring the real validator restores the compiled hot path.
-func TestTapeFallbackOnVerifierRejection(t *testing.T) {
-	sched.SetVerifier(func(p *sched.Program) error { return errors.New("synthetic tape rejection") })
+// TestInstallRefusesRejectedTape swaps sched's compile gate for one that
+// rejects every tape and checks that an install is refused outright: the
+// error wraps the verifier's, a loaded device keeps serving its old model
+// bit-for-bit, and a fresh device stays modelless, bypassing every packet.
+func TestInstallRefusesRejectedTape(t *testing.T) {
+	dev, q, gen := buildAnomalyDevice(t)
+	recs := gen.Records(32)
+	ins := make([]PacketIn, len(recs))
+	for i, r := range recs {
+		ins[i] = PacketIn{Data: pisa.BuildTCPPacket(uint32(i), 2, uint16(3+i), 4, 0x10, 64), Features: r.Features}
+	}
+	before := make([]Decision, len(ins))
+	if err := dev.ProcessBatch(ins, before); err != nil {
+		t.Fatal(err)
+	}
+	if dev.Stats().MLInferences == 0 {
+		t.Fatal("no ML inferences — test traffic broken")
+	}
+
+	boom := errors.New("synthetic tape rejection")
+	sched.SetVerifier(func(p *sched.Program) error { return boom })
 	defer sched.SetVerifier(tapecheck.Check)
 
-	dev, q, gen := buildAnomalyDevice(t)
-	if dev.TapeVerified() {
-		t.Fatal("TapeVerified() = true with a rejecting verifier installed")
+	if err := dev.InstallModel(dev.Model(), q.InputQ); !errors.Is(err, boom) {
+		t.Fatalf("reinstall under a rejecting verifier: %v, want the verifier's error", err)
 	}
-	if r := dev.TapeFallbackReason(); !strings.Contains(r, "synthetic tape rejection") {
-		t.Errorf("TapeFallbackReason() = %q, want the verifier's error", r)
-	}
-	if got := dev.Stats().TapeFallbacks; got != 1 {
-		t.Errorf("Stats().TapeFallbacks = %d, want 1", got)
-	}
-	if dev.CompiledProgram() != nil || dev.ScheduledII() != 0 {
-		t.Error("rejected tape still serving the hot path")
-	}
-	// The interpreter fallback still classifies.
-	rec := gen.Record()
-	if _, err := dev.Process(PacketIn{Data: pisa.BuildTCPPacket(1, 2, 3, 4, 0, 0), Features: rec.Features}); err != nil {
+	after := make([]Decision, len(ins))
+	if err := dev.ProcessBatch(ins, after); err != nil {
 		t.Fatal(err)
+	}
+	for i := range after {
+		if after[i] != before[i] {
+			t.Fatalf("packet %d decision changed after refused install: %+v -> %+v", i, before[i], after[i])
+		}
 	}
 
-	sched.SetVerifier(tapecheck.Check)
-	if err := dev.InstallModel(dev.Model(), q.InputQ); err != nil {
+	fresh, err := NewDevice(DefaultConfig(6))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !dev.TapeVerified() || dev.TapeFallbackReason() != "" {
-		t.Errorf("after reinstall with the real validator: TapeVerified() = %v, reason %q",
-			dev.TapeVerified(), dev.TapeFallbackReason())
+	if err := fresh.InstallModel(dev.Model(), q.InputQ); !errors.Is(err, boom) {
+		t.Fatalf("fresh install under a rejecting verifier: %v, want the verifier's error", err)
 	}
-	if got := dev.Stats().TapeFallbacks; got != 1 {
-		t.Errorf("Stats().TapeFallbacks = %d after clean reinstall, want 1", got)
+	if fresh.Model() != nil || fresh.CompiledProgram() != nil || fresh.ScheduledII() != 0 {
+		t.Error("refused install left a model on a fresh device")
+	}
+	if err := fresh.ProcessBatch(ins, after); err != nil {
+		t.Fatal(err)
+	}
+	for i := range after {
+		if !after[i].Bypassed {
+			t.Fatalf("packet %d not bypassed on a modelless device after a refused install", i)
+		}
 	}
 }
 

@@ -27,11 +27,10 @@ type CompileRow struct {
 	// Speedup is InterpNs/BatchNs — the factor the device hot path gains.
 	Speedup float64
 	// SchedII and SchedDepth are the list schedule's measured initiation
-	// interval and makespan; EstII is graphcheck's resource-blind estimate
-	// for comparison. Occupancy is the schedule's CU bundle fill fraction.
+	// interval and makespan. Occupancy is the schedule's CU bundle fill
+	// fraction.
 	SchedII    int
 	SchedDepth int
-	EstII      int
 	Occupancy  float64
 	// ModelMpps is the modelled single-block throughput at the measured II
 	// (one packet per II cycles at 1 GHz).
@@ -124,7 +123,6 @@ func CompileBench(m *Models) ([]CompileRow, string, error) {
 			Speedup:    interp / batchNs,
 			SchedII:    s.II,
 			SchedDepth: s.Depth,
-			EstII:      rep.EstII,
 			Occupancy:  s.Occupancy(),
 			ModelMpps:  hwmodel.ThroughputPPS(s.II) / 1e6,
 		}
@@ -137,12 +135,11 @@ func CompileBench(m *Models) ([]CompileRow, string, error) {
 			fmt.Sprintf("%.0f", row.BatchNs),
 			fmt.Sprintf("%.1fx", row.Speedup),
 			fmt.Sprintf("%d", row.SchedII),
-			fmt.Sprintf("%d", row.EstII),
 			fmt.Sprintf("%.0f%%", 100*row.Occupancy),
 			fmt.Sprintf("%.0f", row.ModelMpps),
 		})
 	}
 	return rows, table("Compiled evaluation: interpreter vs VLIW tape (ns/packet, measured II)",
 		[]string{"Model", "Nodes", "Interp", "Compiled", "Batch", "Speedup",
-			"Sched II", "Est II", "Occup", "Model Mpps"}, cells), nil
+			"Sched II", "Occup", "Model Mpps"}, cells), nil
 }

@@ -26,9 +26,10 @@
 //
 //  3. Dead-node and critical-path analysis: nodes unreachable from any
 //     output are reported (a lowering that builds work the datapath never
-//     uses is almost certainly buggy), and a depth-based critical-path /
-//     initiation-interval estimate is computed — the static half of the
-//     ROADMAP "scheduled evaluation" item.
+//     uses is almost certainly buggy), and the depth of the longest compute
+//     path is computed. The initiation interval is not estimated here: the
+//     list scheduler (internal/sched) measures the one II the device
+//     charges.
 //
 //  4. Structural stability: Compatible(old, new) proves a push is
 //     weight-only — same kinds, widths, edges and operators, only
@@ -194,17 +195,11 @@ type Report struct {
 	DeadNodes []mr.NodeID
 
 	// CriticalPathCycles is the depth of the longest compute path, in CU
-	// pipeline cycles (interconnect excluded). EstII is the initiation-
-	// interval estimate: unit-sharing pressure times the widest node's
-	// lane iterations. Both are resource-blind static estimates, superseded
-	// by the list scheduler (internal/sched): sched.Plan packs the same
-	// graph under the grid's issue capacity and reports the depth and II
-	// the schedule actually sustains (Schedule.Depth, Schedule.II), which
-	// the device's service model consumes. Compare the two with
-	// `taurus-compile -check` — an EstII below the scheduled II means the
-	// estimate was optimistic about resource contention.
+	// pipeline cycles (interconnect excluded). It is a resource-blind depth,
+	// not an II: sched.Plan packs the same graph under the grid's issue
+	// capacity and reports the depth and II the schedule actually sustains
+	// (Schedule.Depth, Schedule.II); `taurus-compile -check` prints both.
 	CriticalPathCycles int
-	EstII              int
 }
 
 // OK reports whether the graph passed (no error-severity findings).
@@ -244,8 +239,7 @@ func (r *Report) String() string {
 	}
 	fmt.Fprintf(&b, "  resources: %d weight bytes + %d LUTs -> %d/%d MUs; %d/%d CU slots\n",
 		r.WeightBytes, r.LUTCount, r.MUsNeeded, r.MUsAvail, r.CUSlots, r.CUCapacity)
-	fmt.Fprintf(&b, "  schedule:  critical path %d cycles, estimated II %d\n",
-		r.CriticalPathCycles, r.EstII)
+	fmt.Fprintf(&b, "  schedule:  critical path %d cycles\n", r.CriticalPathCycles)
 	if len(r.DeadNodes) > 0 {
 		fmt.Fprintf(&b, "  dead:      %d unreachable node(s) %v\n", len(r.DeadNodes), r.DeadNodes)
 	}
@@ -643,11 +637,10 @@ func (v *verifier) reachability() {
 	}
 }
 
-// schedule computes the depth-based critical path and II estimate.
+// schedule computes the depth-based critical path.
 func (v *verifier) schedule() {
 	g, r := v.g, v.r
 	depth := make([]int, len(g.Nodes))
-	maxIter := 1
 	for _, n := range g.Nodes {
 		d := 0
 		for _, a := range n.Args {
@@ -660,37 +653,12 @@ func (v *verifier) schedule() {
 			cost = cgra.MUAccessCycles
 		}
 		depth[n.ID] = d + cost
-		if w := chainWidth(g, n); w > 0 {
-			if it := (w + v.spec.Lanes - 1) / v.spec.Lanes; it > maxIter {
-				maxIter = it
-			}
-		}
 	}
 	for _, o := range g.Outputs {
 		if depth[o] > r.CriticalPathCycles {
 			r.CriticalPathCycles = depth[o]
 		}
 	}
-	share := 1
-	if r.CUCapacity > 0 && r.CUSlots > r.CUCapacity {
-		share = (r.CUSlots + r.CUCapacity - 1) / r.CUCapacity
-	}
-	r.EstII = share * maxIter
-}
-
-// chainWidth is a node's lane demand (its argument's width for reductions).
-func chainWidth(g *mr.Graph, n *mr.Node) int {
-	switch n.Kind {
-	case mr.KInput, mr.KConst, mr.KConcat, mr.KSlice:
-		return 0
-	}
-	w := n.Width
-	if n.Kind == mr.KReduce {
-		if aw := g.Node(n.Args[0]).Width; aw > w {
-			w = aw
-		}
-	}
-	return w
 }
 
 // Compatible reports whether new is a weight-only replacement for old: the

@@ -14,6 +14,7 @@ import (
 	"taurus/internal/lower"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/ml"
+	"taurus/internal/sched"
 )
 
 // mustMult builds a multiplier or fails the test.
@@ -66,8 +67,8 @@ func TestDNNLoweringVerifiesClean(t *testing.T) {
 	if rep.WeightBytes == 0 || rep.LUTCount == 0 {
 		t.Errorf("census missed DNN storage: %+v", rep)
 	}
-	if rep.CriticalPathCycles <= 0 || rep.EstII <= 0 {
-		t.Errorf("schedule estimate missing: path=%d II=%d", rep.CriticalPathCycles, rep.EstII)
+	if rep.CriticalPathCycles <= 0 {
+		t.Errorf("critical path missing: path=%d", rep.CriticalPathCycles)
 	}
 }
 
@@ -430,8 +431,12 @@ func TestComputeOversubscriptionWarns(t *testing.T) {
 	if !found {
 		t.Errorf("no oversubscription warning: %v", rep.Findings)
 	}
-	if rep.EstII <= 1 {
-		t.Errorf("EstII = %d, want > 1 under CU sharing", rep.EstII)
+	s, err := sched.Plan(g, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.II <= 1 {
+		t.Errorf("scheduled II = %d, want > 1 under CU sharing", s.II)
 	}
 }
 

@@ -204,8 +204,8 @@ func LUTIndex(l *mr.LUT, acc Interval) (idx, raw Interval, allOutside bool) {
 }
 
 // LUTRange returns the min/max table value over the feasible index window.
-// Callers doing many lookups against the same table should memoise the
-// full-domain case (the verifier does; see lutRange).
+// Callers doing many lookups against the same table should summarise it
+// (the tape verifier keeps per-block ranges; see tapecheck's lutBlocks).
 func LUTRange(l *mr.LUT, idx Interval) Interval {
 	iv := point(int64(l.Table[idx.Lo+mr.LUTSize/2]))
 	for i := idx.Lo + 1; i <= idx.Hi; i++ {

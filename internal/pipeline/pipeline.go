@@ -177,10 +177,10 @@ func (p *Pipeline) shardOf(data []byte) int {
 // structure-only — the hardware analogue of flashing one bitstream to N
 // identical blocks.
 //
-// The install is all-or-nothing: every per-shard clone is built and
-// validated before any device is touched, and if an install still fails
-// partway the already-switched shards are rolled back to their previous
-// model, so the pipeline never serves traffic from a mix of models.
+// The install is all-or-nothing: a device refuses a model it cannot compile
+// and verify (core.Device.InstallModel), and when a shard refuses partway
+// the already-switched shards are rolled back to their previous model, so
+// the pipeline never serves traffic from a mix of models.
 func (p *Pipeline) LoadModel(g *mr.Graph, inQ fixed.Quantizer, opts compiler.Options) error {
 	if opts.Grid == (cgra.GridSpec{}) {
 		opts.Grid = p.shards[0].dev.Config().Grid
@@ -194,24 +194,17 @@ func (p *Pipeline) LoadModel(g *mr.Graph, inQ fixed.Quantizer, opts compiler.Opt
 	if err != nil {
 		return err
 	}
-	prepared := make([]*compiler.Result, len(p.shards))
-	for i := range p.shards {
-		shardRes := *res
-		shardRes.Graph = g.Clone()
-		if _, err := mr.NewEvaluator(shardRes.Graph); err != nil {
-			return err
-		}
-		prepared[i] = &shardRes
-	}
 	type prev struct {
 		res *compiler.Result
 		inQ fixed.Quantizer
 	}
 	prevs := make([]prev, 0, len(p.shards))
-	for i, s := range p.shards {
+	for _, s := range p.shards {
+		shardRes := *res
+		shardRes.Graph = g.Clone()
 		s.mu.Lock()
 		old := prev{s.dev.Model(), s.dev.InputQuantizer()}
-		err := s.dev.InstallModel(prepared[i], inQ)
+		err := s.dev.InstallModel(&shardRes, inQ)
 		s.mu.Unlock()
 		if err != nil {
 			for j, o := range prevs {
@@ -385,17 +378,9 @@ func (p *Pipeline) ModelLatencyNs() float64 {
 	return s.dev.ModelLatencyNs()
 }
 
-// ModelII returns the placed design's initiation interval from the CGRA
-// timing model.
-func (p *Pipeline) ModelII() int {
-	s := p.shards[0]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dev.ModelII()
-}
-
-// ScheduledII returns the list schedule's measured initiation interval for
-// the deployed model (0 when the shards fell back to the interpreter).
+// ScheduledII returns the list schedule's initiation interval for the
+// deployed model (0 before LoadModel; shards are identical, so shard 0
+// speaks for all).
 func (p *Pipeline) ScheduledII() int {
 	s := p.shards[0]
 	s.mu.Lock()
@@ -403,13 +388,13 @@ func (p *Pipeline) ScheduledII() int {
 	return s.dev.ScheduledII()
 }
 
-// TapeVerified reports whether every shard serves inference from a compiled,
-// translation-validated tape. False means at least one shard fell back to
-// the interpreter — see TapeFallbackReason and Stats().TapeFallbacks.
+// TapeVerified reports whether every shard has a model installed. A device
+// serves only a compiled, translation-validated tape, so an installed model
+// is a verified one.
 func (p *Pipeline) TapeVerified() bool {
 	for _, s := range p.shards {
 		s.mu.Lock()
-		ok := s.dev.TapeVerified()
+		ok := s.dev.CompiledProgram() != nil
 		s.mu.Unlock()
 		if !ok {
 			return false
@@ -429,20 +414,11 @@ func (p *Pipeline) RecheckTape() error {
 	return s.dev.RecheckTape()
 }
 
-// TapeFallbackReason returns why a shard last fell back to the interpreter
-// ("" when every shard serves the compiled tape). Shards load identical
-// clones, so the first non-empty reason speaks for all.
-func (p *Pipeline) TapeFallbackReason() string {
-	for _, s := range p.shards {
-		s.mu.Lock()
-		reason := s.dev.TapeFallbackReason()
-		s.mu.Unlock()
-		if reason != "" {
-			return reason
-		}
-	}
-	return ""
-}
+// TapeFallbackReason returns "".
+//
+// Deprecated: shards never fall back to an interpreter; a tape the scheduler
+// or tapecheck refuses fails LoadModel instead. Kept for existing callers.
+func (p *Pipeline) TapeFallbackReason() string { return "" }
 
 // ServiceModel is the per-shard service-time model of the deployed design —
 // the hook the continuous-time queueing simulator (internal/netqueue) runs
@@ -476,18 +452,17 @@ func (m ServiceModel) NominalPPS() float64 {
 
 // ServiceModel returns the deployed model's per-shard service times (zero
 // MLServiceNs before LoadModel; shards are identical, so shard 0 speaks for
-// all). MLServiceNs is the schedule-measured II of the compiled tape
-// (core.Device.ServiceII) — the II the list scheduler packed under the
-// grid's issue capacity, not graphcheck's depth-only estimate — so the
-// queueing simulator and MaxSustainablePPS are derived from the schedule
-// the device actually executes.
+// all). MLServiceNs is the compiled tape's ScheduledII — the II the list
+// scheduler packed under the grid's issue capacity — so the queueing
+// simulator and MaxSustainablePPS are derived from the schedule the device
+// actually executes.
 func (p *Pipeline) ServiceModel() ServiceModel {
 	s := p.shards[0]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return ServiceModel{
 		Shards:          len(p.shards),
-		MLServiceNs:     float64(s.dev.ServiceII()),
+		MLServiceNs:     float64(s.dev.ScheduledII()),
 		BypassServiceNs: 1,
 		LatencyNs:       s.dev.ModelLatencyNs(),
 	}

@@ -13,6 +13,8 @@ import (
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/ml"
 	"taurus/internal/pisa"
+	"taurus/internal/sched"
+	"taurus/internal/sched/tapecheck"
 	"taurus/internal/trafficgen"
 )
 
@@ -87,14 +89,22 @@ func makeBatch(t *testing.T, n, nflows int) ([]core.PacketIn, []core.Decision) {
 	return ins, out
 }
 
-// TestPipelineTapeVerified pins the fallback-visibility contract at the
-// pipeline surface: a freshly loaded pipeline serves every shard from the
-// translation-validated tape, with no fallback reason and no counted
-// fallbacks.
+// TestPipelineTapeVerified pins the tape-status surface the benchmark
+// harness reads: TapeVerified is false on a modelless pipeline and true once
+// every shard serves a loaded model, and the deprecated fallback report stays
+// empty.
 func TestPipelineTapeVerified(t *testing.T) {
+	fresh, err := New(Config{Shards: 2, Device: core.DefaultConfig(6)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if fresh.TapeVerified() {
+		t.Error("TapeVerified() = true before LoadModel")
+	}
 	p := newLoadedPipeline(t, 3)
 	if !p.TapeVerified() {
-		t.Errorf("TapeVerified() = false after a clean LoadModel (reason %q)", p.TapeFallbackReason())
+		t.Error("TapeVerified() = false after a clean LoadModel")
 	}
 	if r := p.TapeFallbackReason(); r != "" {
 		t.Errorf("TapeFallbackReason() = %q, want empty", r)
@@ -299,6 +309,72 @@ func TestLoadModelAllOrNothing(t *testing.T) {
 		if !out[i].Bypassed {
 			t.Fatalf("packet %d not bypassed on modelless pipeline after failed install", i)
 		}
+	}
+}
+
+// TestLoadModelRollsBackMidInstall refuses the install on shard 1 after
+// shard 0 has switched to the new model, and checks the rollback: LoadModel
+// returns the refusal and every shard decides exactly as before it.
+func TestLoadModelRollsBackMidInstall(t *testing.T) {
+	q, _, g2, _ := trainModel(t)
+	p := newLoadedPipeline(t, 3)
+	ins, out := makeBatch(t, 96, 12)
+	if _, err := p.ProcessBatch(ins, out); err != nil {
+		t.Fatal(err)
+	}
+	before := append([]core.Decision(nil), out...)
+	for i, st := range p.ShardStats() {
+		if st.MLInferences == 0 {
+			t.Fatalf("shard %d served no ML packets — test traffic broken", i)
+		}
+	}
+
+	// Call 1 is shard 0's install, call 2 shard 1's, call 3 the rollback
+	// reinstall on shard 0, which must pass.
+	boom := errors.New("synthetic tape rejection on shard 1")
+	calls := 0
+	sched.SetVerifier(func(prog *sched.Program) error {
+		calls++
+		if calls == 2 {
+			return boom
+		}
+		return tapecheck.Check(prog)
+	})
+	defer sched.SetVerifier(tapecheck.Check)
+
+	if err := p.LoadModel(g2, q.InputQ, compiler.Options{}); !errors.Is(err, boom) {
+		t.Fatalf("LoadModel with shard 1 refusing: %v, want the verifier's error", err)
+	}
+	if calls != 3 {
+		t.Fatalf("verifier ran %d times, want 3 (shard 0, shard 1, shard 0 rollback)", calls)
+	}
+	if _, err := p.ProcessBatch(ins, out); err != nil {
+		t.Fatal(err)
+	}
+	for i := range out {
+		if out[i] != before[i] {
+			t.Fatalf("packet %d (shard %d) decision changed after refused install: %+v -> %+v",
+				i, p.shardOf(ins[i].Data), before[i], out[i])
+		}
+	}
+
+	// The new model does change shard 0's decisions, so the check above
+	// would catch shard 0 left on it.
+	sched.SetVerifier(tapecheck.Check)
+	if err := p.LoadModel(g2, q.InputQ, compiler.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ProcessBatch(ins, out); err != nil {
+		t.Fatal(err)
+	}
+	changed := false
+	for i := range out {
+		if p.shardOf(ins[i].Data) == 0 && out[i] != before[i] {
+			changed = true
+		}
+	}
+	if !changed {
+		t.Fatal("the new model decides shard 0's packets like the old one — rollback is untested")
 	}
 }
 
@@ -534,7 +610,7 @@ func TestServiceModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc = pl.ServiceModel()
-	if got, want := svc.MLServiceNs, float64(pl.ModelII()); got != want {
+	if got, want := svc.MLServiceNs, float64(pl.ScheduledII()); got != want {
 		t.Errorf("MLServiceNs = %v, want II %v", got, want)
 	}
 	if got, want := svc.LatencyNs, pl.ModelLatencyNs(); got != want {
@@ -543,7 +619,7 @@ func TestServiceModel(t *testing.T) {
 	if svc.BypassServiceNs != 1 {
 		t.Errorf("BypassServiceNs = %v, want 1 cycle", svc.BypassServiceNs)
 	}
-	want := 4 * 1e9 / float64(pl.ModelII())
+	want := 4 * 1e9 / float64(pl.ScheduledII())
 	if got := svc.NominalPPS(); got != want {
 		t.Errorf("NominalPPS = %v, want %v", got, want)
 	}

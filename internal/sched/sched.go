@@ -3,14 +3,12 @@
 // resources, and a flat instruction tape (Program) that replaces the
 // interpreter's per-node switch dispatch with fused straight-line loops.
 //
-// The schedule is the measured counterpart of graphcheck's depth-only
-// estimate (Report.CriticalPathCycles / Report.EstII): graphcheck bounds the
-// critical path ignoring resource contention, while Plan packs every compute
-// node into per-cycle issue bundles under the grid's CU/MU capacity and
-// reports the initiation interval the packed schedule actually sustains.
-// Device, pipeline.ServiceModel and the netqueue simulator consume this II —
-// the service-time model is re-derived from the real schedule, not the
-// estimate.
+// graphcheck bounds the critical path ignoring resource contention
+// (Report.CriticalPathCycles), while Plan packs every compute node into
+// per-cycle issue bundles under the grid's CU/MU capacity and reports the
+// initiation interval the packed schedule actually sustains. That II is the
+// only one the serving path knows: Device, pipeline.ServiceModel and the
+// netqueue simulator all charge it.
 package sched
 
 import (

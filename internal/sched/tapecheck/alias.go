@@ -17,7 +17,7 @@ import (
 // window, a multiplier borrowed from a different node — would silently
 // detach the tape from (or cross-wire it to) future pushes.
 func (c *checker) alias() {
-	c.constOf = make(map[*int32]mr.NodeID)
+	c.constOf = make(map[*int32]mr.NodeID, len(c.g.Nodes)) // sized up front: weight-heavy graphs are mostly consts
 	c.multOf = make(map[*fixed.Multiplier]mr.NodeID)
 	c.lutOf = make(map[*mr.LUT]mr.NodeID)
 	for i := range c.g.Nodes {

@@ -47,7 +47,8 @@ func classOf(op sched.Opcode) opClass {
 // packet's values. As a side effect it builds c.writer, which equiv() uses
 // to attribute output cells to instructions.
 func (c *checker) bounds() {
-	c.writer = make([]int32, c.arena)
+	c.writer = resize(c.buf.writer, c.arena)
+	c.buf.writer = c.writer
 	for i := range c.writer {
 		c.writer[i] = -1
 	}

@@ -80,7 +80,8 @@ type interner struct {
 
 // newInterner pre-sizes for roughly `hint` interned expressions (the table
 // at load factor <= 1/2) so verifying a large tape never pays rehash growth.
-func newInterner(hint int) *interner {
+// The arrays come from buf and go back there once the pass is done.
+func newInterner(hint int, buf *buffers) *interner {
 	// Leaves bypass the table, so table residency runs well below hint; one
 	// power of two above it keeps the load factor comfortable without paying
 	// to zero a table that would sit mostly empty.
@@ -88,10 +89,17 @@ func newInterner(hint int) *interner {
 	for size < hint {
 		size <<= 1
 	}
+	nodes, kids := buf.nodes[:0], buf.kids[:0]
+	if cap(nodes) < hint+16 {
+		nodes = make([]exprNode, 0, hint+16)
+	}
+	if cap(kids) < 2*hint+16 {
+		kids = make([]exprID, 0, 2*hint+16)
+	}
 	return &interner{
-		nodes: make([]exprNode, 0, hint+16),
-		kids:  make([]exprID, 0, 2*hint+16),
-		tab:   make([]int32, size),
+		nodes: nodes,
+		kids:  kids,
+		tab:   resize(buf.tab, size),
 		mask:  uint32(size - 1),
 		pc:    -1,
 	}
@@ -313,19 +321,23 @@ func (c *checker) equiv() {
 	// Size hint: the universe is dominated by one expression per graph lane
 	// (tape-side fused forms re-cons onto the same ids), plus a handful of
 	// accumulators per instruction.
-	hint := len(c.code) + 64
+	width := 0
 	for _, n := range c.g.Nodes {
-		hint += n.Width
+		width += n.Width
 	}
-	it := newInterner(hint)
+	it := newInterner(len(c.code)+64+width, c.buf)
+	defer func() { c.buf.nodes, c.buf.kids, c.buf.tab = it.nodes, it.kids, it.tab }()
 
 	// Graph side: per-lane expressions for every node. Validate guarantees
 	// arguments are built before use, so one forward pass suffices.
 	glanes := make([][]exprID, len(c.g.Nodes))
+	flat := resize(c.buf.lanes, width)
+	c.buf.lanes = flat
 	scratch := make([]exprID, 0, 64)
 	for i := range c.g.Nodes {
 		n := c.g.Nodes[i]
-		lanes := make([]exprID, n.Width)
+		lanes := flat[:n.Width:n.Width]
+		flat = flat[n.Width:]
 		arg := func(j int) []exprID {
 			if j < len(n.Args) {
 				return glanes[n.Args[j]]
@@ -404,7 +416,8 @@ func (c *checker) equiv() {
 	}
 
 	// Tape side: symbolic execution over slot 0 of the arena.
-	cells := make([]exprID, c.arena)
+	cells := resize(c.buf.cells, c.arena)
+	c.buf.cells = cells
 	for i := range cells {
 		cells[i] = -1
 	}

@@ -21,8 +21,9 @@ import (
 // Intervals are identical across batch slots (the layout is slot-uniform;
 // bounds() proves that), so the walk runs over slot 0.
 func (c *checker) ranges(opts Options) {
-	cells := make([]Interval, c.arena)
-	defined := make([]bool, c.arena)
+	cells := resize(c.buf.ivs, c.arena)
+	defined := resize(c.buf.defined, c.arena)
+	c.buf.ivs, c.buf.defined = cells, defined
 
 	for i := range c.g.Inputs {
 		o := c.p.InputOperand(i)
@@ -54,22 +55,17 @@ func (c *checker) ranges(opts Options) {
 		}
 		return fix32 // undefined or out of range: bounds() reports, stay sound
 	}
-	var lutFull map[*mr.LUT]Interval
+	var blocks map[*mr.LUT]*lutBlocks
 	lutRange := func(l *mr.LUT, idx Interval) Interval {
-		full := idx.Lo == -mr.LUTSize/2 && idx.Hi == mr.LUTSize/2-1
-		if full {
-			if lutFull == nil {
-				lutFull = make(map[*mr.LUT]Interval, 4)
+		s := blocks[l]
+		if s == nil {
+			if blocks == nil {
+				blocks = make(map[*mr.LUT]*lutBlocks, 4)
 			}
-			if iv, ok := lutFull[l]; ok {
-				return iv
-			}
+			s = summarise(l)
+			blocks[l] = s
 		}
-		iv := graphcheck.LUTRange(l, idx)
-		if full {
-			lutFull[l] = iv
-		}
-		return iv
+		return s.rangeOf(l, idx)
 	}
 
 	for pc := range c.code {
@@ -200,4 +196,38 @@ func (c *checker) ranges(opts Options) {
 			write(0, sat(0, "fused distance accumulator lane", acc))
 		}
 	}
+}
+
+// lutBlock is the granularity of a table summary: a window's min/max costs
+// at most two partial blocks plus one compare per whole block in between,
+// not a scan of every entry. An LSTM tape asks its gate tables for hundreds
+// of distinct per-lane windows.
+const lutBlock = 32
+
+// lutBlocks holds the value range of each lutBlock-entry block of one table.
+type lutBlocks [mr.LUTSize / lutBlock]Interval
+
+func summarise(l *mr.LUT) *lutBlocks {
+	var s lutBlocks
+	for b := range s {
+		lo := int64(b*lutBlock - mr.LUTSize/2)
+		s[b] = graphcheck.LUTRange(l, Interval{Lo: lo, Hi: lo + lutBlock - 1})
+	}
+	return &s
+}
+
+// rangeOf is graphcheck.LUTRange(l, idx), answered from the summary.
+func (s *lutBlocks) rangeOf(l *mr.LUT, idx Interval) Interval {
+	first := (idx.Lo + mr.LUTSize/2) / lutBlock
+	last := (idx.Hi + mr.LUTSize/2) / lutBlock
+	if last-first < 2 {
+		return graphcheck.LUTRange(l, idx)
+	}
+	iv := graphcheck.LUTRange(l, Interval{Lo: idx.Lo, Hi: (first+1)*lutBlock - mr.LUTSize/2 - 1})
+	tail := graphcheck.LUTRange(l, Interval{Lo: last*lutBlock - mr.LUTSize/2, Hi: idx.Hi})
+	iv.Lo, iv.Hi = min(iv.Lo, tail.Lo), max(iv.Hi, tail.Hi)
+	for _, b := range s[first+1 : last] {
+		iv.Lo, iv.Hi = min(iv.Lo, b.Lo), max(iv.Hi, b.Hi)
+	}
+	return iv
 }

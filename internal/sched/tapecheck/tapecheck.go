@@ -46,15 +46,15 @@
 // in well under 2 ms (see BenchmarkTapeVerify). Importing this package
 // registers it as sched's compile gate: sched.Compile refuses to return a
 // program with error-severity findings (sched.CompileUnverified opts out).
-// core.Device.InstallModel additionally records a fallback to the
-// interpreter when a tape is rejected, and `taurus-compile -check` prints
-// the report next to graphcheck's.
+// core.Device.InstallModel refuses the install when a tape is rejected, and
+// `taurus-compile -check` prints the report next to graphcheck's.
 package tapecheck
 
 import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"taurus/internal/fixed"
 	"taurus/internal/graphcheck"
@@ -255,11 +255,14 @@ func VerifyWith(p *sched.Program, opts Options) *Report {
 		})
 		return r
 	}
+	buf := bufPool.Get().(*buffers)
+	defer bufPool.Put(buf)
 	c := &checker{
 		p: p, g: g, r: r,
 		code:  p.Code(),
 		batch: p.MaxBatch(),
 		arena: p.ArenaSize(),
+		buf:   buf,
 	}
 	c.alias()  // storage identity first: equiv resolves const leaves through it
 	c.bounds() // widths, windows, liveness, slot uniformity
@@ -287,6 +290,36 @@ type checker struct {
 	// writer[cell] is the pc that defines each arena cell (slot-expanded),
 	// -2 for input-seeded cells, -1 for never-written. Built by bounds().
 	writer []int32
+
+	buf *buffers
+}
+
+// buffers are the arrays each pass sizes by the arena or by the expression
+// universe. Every install and weight push verifies a tape, and a large tape
+// needs several hundred kilobytes of them; recycling them through bufPool
+// spares each pass the fresh-page faults and the GC work.
+type buffers struct {
+	writer  []int32
+	ivs     []Interval
+	defined []bool
+	cells   []exprID
+	lanes   []exprID
+	nodes   []exprNode
+	kids    []exprID
+	tab     []int32
+}
+
+var bufPool = sync.Pool{New: func() any { return new(buffers) }}
+
+// resize returns s cleared and cut to length n, reallocating only when its
+// capacity is short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // finding appends one diagnostic for instruction pc (or -1).

@@ -670,7 +670,7 @@ type (
 	MetricLabel = obs.Label
 	// TraceJournal is the bounded ring-buffer journal of control-plane
 	// events: drift detections, retrain spans, graphcheck/tapecheck
-	// verdicts, pushes, rollbacks, tape fallbacks, distfit rounds. Events()
+	// verdicts, pushes, rollbacks, refused installs, distfit rounds. Events()
 	// returns the retained window oldest-first; WriteText/WriteJSON render
 	// it.
 	TraceJournal = obs.Tracer
