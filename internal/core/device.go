@@ -20,6 +20,7 @@ import (
 	"taurus/internal/cgra"
 	"taurus/internal/compiler"
 	"taurus/internal/fixed"
+	"taurus/internal/graphcheck"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/obs"
 	"taurus/internal/pisa"
@@ -464,27 +465,19 @@ func (d *Device) ClearModel() {
 
 // UpdateWeights swaps the constants and LUT tables of the installed model
 // for those of newGraph without re-placing the design — the out-of-band
-// weight update of §3.3.1/Figure 1. The new graph must be structurally
-// identical (same node kinds, widths and wiring); it is only read, so one
-// graph can be pushed to many devices concurrently.
+// weight update of §3.3.1/Figure 1. newGraph must be a weight-only
+// replacement (graphcheck.Compatible: same node kinds, widths, operators
+// and wiring); anything else is refused with an error matching both
+// ErrStructureMismatch and graphcheck.ErrIncompatible, before any weight is
+// copied. The graph is only read, so one graph can be pushed to many
+// devices concurrently.
 func (d *Device) UpdateWeights(newGraph *mr.Graph) error {
 	if d.model == nil {
 		return ErrNoModel
 	}
 	old := d.model.Graph
-	if len(old.Nodes) != len(newGraph.Nodes) {
-		return fmt.Errorf("%w: node count %d vs %d", ErrStructureMismatch, len(newGraph.Nodes), len(old.Nodes))
-	}
-	for i, n := range newGraph.Nodes {
-		o := old.Nodes[i]
-		if n.Kind != o.Kind || n.Width != o.Width || len(n.Args) != len(o.Args) {
-			return fmt.Errorf("%w: node %d differs", ErrStructureMismatch, i)
-		}
-		for j := range n.Args {
-			if n.Args[j] != o.Args[j] {
-				return fmt.Errorf("%w: node %d rewired", ErrStructureMismatch, i)
-			}
-		}
+	if err := graphcheck.Compatible(old, newGraph); err != nil {
+		return fmt.Errorf("%w: %w", ErrStructureMismatch, err)
 	}
 	for i, n := range newGraph.Nodes {
 		o := old.Nodes[i]

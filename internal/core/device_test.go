@@ -7,7 +7,9 @@ import (
 
 	"taurus/internal/compiler"
 	"taurus/internal/dataset"
+	"taurus/internal/graphcheck"
 	"taurus/internal/lower"
+	mr "taurus/internal/mapreduce"
 	"taurus/internal/ml"
 	"taurus/internal/pisa"
 	"taurus/internal/sched"
@@ -106,6 +108,82 @@ func TestUpdateWeightsStructureSentinel(t *testing.T) {
 	}
 }
 
+// mlBatch builds n ML-path TCP packets, one flow each, carrying fresh
+// anomaly features.
+func mlBatch(gen *dataset.AnomalyGenerator, n int) []PacketIn {
+	ins := make([]PacketIn, n)
+	for i := range ins {
+		ins[i] = PacketIn{
+			Data:     pisa.BuildTCPPacket(uint32(i), 2, uint16(3+i), 4, 0x10, 64),
+			Features: gen.Record().Features,
+		}
+	}
+	return ins
+}
+
+// TestUpdateWeightsRejectsOpChange: a push that swaps a map operator is not
+// weight-only. The tape bakes operators into its opcodes, so accepting the
+// push would report success while the device kept serving the old operator.
+func TestUpdateWeightsRejectsOpChange(t *testing.T) {
+	dev, _, gen := buildAnomalyDevice(t)
+	ins := mlBatch(gen, 64)
+	before := make([]Decision, len(ins))
+	if err := dev.ProcessBatch(ins, before); err != nil {
+		t.Fatal(err)
+	}
+	g := dev.Model().Graph.Clone()
+	changed := false
+	for _, n := range g.Nodes {
+		if n.Kind == mr.KMap && n.Map == mr.MAdd {
+			n.Map = mr.MSub
+			changed = true
+			break
+		}
+	}
+	if !changed {
+		t.Fatal("lowered DNN has no map/add node")
+	}
+	err := dev.UpdateWeights(g)
+	if !errors.Is(err, ErrStructureMismatch) || !errors.Is(err, graphcheck.ErrIncompatible) {
+		t.Fatalf("op-changing push: %v, want ErrStructureMismatch and graphcheck.ErrIncompatible", err)
+	}
+	after := make([]Decision, len(ins))
+	if err := dev.ProcessBatch(ins, after); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ins {
+		if after[i] != before[i] {
+			t.Fatalf("packet %d: decision %+v after a refused push, was %+v", i, after[i], before[i])
+		}
+	}
+}
+
+// TestUpdateWeightsRejectsNilLUT: a push whose LUT node has no table is
+// refused with an error, not a nil dereference.
+func TestUpdateWeightsRejectsNilLUT(t *testing.T) {
+	dev, _, _ := buildAnomalyDevice(t)
+	g := dev.Model().Graph.Clone()
+	changed := false
+	for _, n := range g.Nodes {
+		if n.Kind == mr.KLUT {
+			n.LUT = nil
+			changed = true
+			break
+		}
+	}
+	if !changed {
+		t.Fatal("lowered DNN has no LUT node")
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("UpdateWeights panicked on a nil LUT: %v", r)
+		}
+	}()
+	if err := dev.UpdateWeights(g); !errors.Is(err, ErrStructureMismatch) {
+		t.Fatalf("nil-LUT push: %v, want ErrStructureMismatch", err)
+	}
+}
+
 func TestProcessBatchMatchesProcess(t *testing.T) {
 	devA, q, gen := buildAnomalyDevice(t)
 	devB, err := NewDevice(DefaultConfig(6))
@@ -119,14 +197,7 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 	if err := devB.LoadModel(g, q.InputQ, compiler.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	ins := make([]PacketIn, 100)
-	for i := range ins {
-		rec := gen.Record()
-		ins[i] = PacketIn{
-			Data:     pisa.BuildTCPPacket(uint32(i), 2, uint16(3+i), 4, 0x10, 64),
-			Features: rec.Features,
-		}
-	}
+	ins := mlBatch(gen, 100)
 	out := make([]Decision, len(ins))
 	if err := devB.ProcessBatch(ins, out); err != nil {
 		t.Fatal(err)

@@ -12,8 +12,9 @@ var (
 	// width disagrees with the device's NumFeatures.
 	ErrBadFeatureWidth = errors.New("core: feature width mismatch")
 	// ErrStructureMismatch is returned when an out-of-band weight update
-	// would change the placed design (node kinds, widths or wiring) —
-	// structural changes need a full LoadModel (§3.3.1).
+	// would change the placed design (node kinds, widths, operators or
+	// wiring) — structural changes need a full LoadModel (§3.3.1). It wraps
+	// the graphcheck.ErrIncompatible finding.
 	ErrStructureMismatch = errors.New("core: weight update changes model structure")
 	// ErrBadConfig is returned for invalid device configurations.
 	ErrBadConfig = errors.New("core: invalid device config")

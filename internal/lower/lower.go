@@ -234,28 +234,15 @@ func SVMWithReference(s *ml.SVM, inQ fixed.Quantizer, maxSV int, name string) (*
 
 // SVMReference evaluates the exact quantised arithmetic of the lowered SVM
 // graph — same IR operators, same LUT, same saturation — without building or
-// interpreting a graph. Build it once per deployment and call Decision per
-// sample; this is what the control plane uses for parity checks against the
-// data plane's verdicts.
+// interpreting a graph. SVMWithReference builds it next to the graph, once
+// per deployment; call Decision per sample. This is what the control plane
+// uses for parity checks against the data plane's verdicts.
 type SVMReference struct {
 	plan *svmPlan
 	in   []int32 // scratch: quantised input codes
 	sq   []int32 // scratch: per-lane squared differences
 	ks   []int32 // scratch: per-SV kernel codes
 }
-
-// NewSVMReference quantises s against inQ (capped at maxSV support vectors)
-// and returns a reusable reference evaluator.
-func NewSVMReference(s *ml.SVM, inQ fixed.Quantizer, maxSV int) (*SVMReference, error) {
-	p, err := planSVM(s, inQ, maxSV)
-	if err != nil {
-		return nil, err
-	}
-	return p.reference(), nil
-}
-
-// NumFeatures returns the model's input width.
-func (r *SVMReference) NumFeatures() int { return len(r.in) }
 
 // Decision returns the quantised decision code for x — bit-identical to the
 // single output lane of the lowered graph evaluated on the same features. It
@@ -282,17 +269,4 @@ func (r *SVMReference) Decision(x []float32) (int32, error) {
 		r.ks[s] = mr.MMul.Apply(int32(p.coef[s]), r.ks[s])
 	}
 	return mr.MAdd.Apply(mr.RAdd.Apply(r.ks), p.bias), nil
-}
-
-// SVMReferenceDecision evaluates the same quantised arithmetic the lowered
-// SVM graph computes, for bit-exactness tests and control-plane parity. It
-// computes the arithmetic directly — no graph construction or evaluator — so
-// it is cheap enough to call per sample; callers scoring many samples should
-// still build one SVMReference and reuse it.
-func SVMReferenceDecision(s *ml.SVM, inQ fixed.Quantizer, maxSV int, x []float32) (int32, error) {
-	ref, err := NewSVMReference(s, inQ, maxSV)
-	if err != nil {
-		return 0, err
-	}
-	return ref.Decision(x)
 }

@@ -137,7 +137,7 @@ func TestSVMLoweringSignAgreement(t *testing.T) {
 		flat = append(flat, x...)
 	}
 	inQ := fixed.QuantizerFor(flat)
-	g, err := SVM(svm, inQ, 16, "anomaly-svm")
+	g, ref, err := SVMWithReference(svm, inQ, 16, "anomaly-svm")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +155,12 @@ func TestSVMLoweringSignAgreement(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Reference path must be bit-identical.
-		ref, err := SVMReferenceDecision(svm, inQ, 16, x)
+		want, err := ref.Decision(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if outs[0][0] != ref {
-			t.Fatalf("graph decision %d != reference %d", outs[0][0], ref)
+		if outs[0][0] != want {
+			t.Fatalf("graph decision %d != reference %d", outs[0][0], want)
 		}
 		if (outs[0][0] > 0) == compressed.Predict(x) {
 			agree++

@@ -286,6 +286,31 @@ type Graph struct {
 // Node returns the node with the given ID.
 func (g *Graph) Node(id NodeID) *Node { return g.Nodes[id] }
 
+// Clone deep-copies the graph so a holder can mutate weights (or evaluate)
+// independently of the original — each pipeline shard owns a clone, keeping
+// out-of-band weight updates shard-local.
+func (g *Graph) Clone() *Graph {
+	out := &Graph{
+		Name:    g.Name,
+		Nodes:   make([]*Node, len(g.Nodes)),
+		Inputs:  append([]NodeID(nil), g.Inputs...),
+		Outputs: append([]NodeID(nil), g.Outputs...),
+	}
+	for i, n := range g.Nodes {
+		c := *n
+		c.Args = append([]NodeID(nil), n.Args...)
+		if n.Const != nil {
+			c.Const = append([]int32(nil), n.Const...)
+		}
+		if n.LUT != nil {
+			lut := *n.LUT
+			c.LUT = &lut
+		}
+		out.Nodes[i] = &c
+	}
+	return out
+}
+
 // Validate checks structural invariants: argument IDs in range and built
 // before use, widths consistent, payloads present.
 func (g *Graph) Validate() error {
@@ -393,7 +418,8 @@ func (g *Graph) Validate() error {
 
 // Eval interprets the program on the given input vectors (one []int32 per
 // declared input, in order). It returns the output vectors. This is the
-// reference semantics the CGRA simulator must match bit-exactly.
+// reference semantics: the compiled sched tape must match it bit-exactly,
+// and the fuzz and differential tests use it as their oracle.
 func (g *Graph) Eval(inputs ...[]int32) ([][]int32, error) {
 	if len(inputs) != len(g.Inputs) {
 		return nil, fmt.Errorf("mapreduce: got %d inputs, want %d", len(inputs), len(g.Inputs))

@@ -281,3 +281,75 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Error("forward reference should fail validation")
 	}
 }
+
+// buildTestGraph exercises every node kind: slice, map (broadcast and full),
+// unary, reduce, requant, scale, LUT, concat.
+func buildTestGraph(t *testing.T) *Graph {
+	t.Helper()
+	b := NewBuilder("eval-test")
+	in := b.Input("x", 8)
+	w := b.Const("w", []int32{1, -2, 3, -4, 5, -6, 7, -8})
+	prod := b.Map(MMul, in, w)
+	act := b.Unary(UReLU, prod)
+	sum := b.Reduce(RAdd, act)
+	sc := b.Scale(sum, mustMult(t, 1.5))
+	rq := b.Requant(sc, mustMult(t, 0.25))
+	lo := b.Slice(in, 0, 4)
+	hi := b.Slice(in, 4, 4)
+	mx := b.Map(MMax, lo, hi)
+	var lut LUT
+	lut.Mult = mustMult(t, 1.0)
+	for i := range lut.Table {
+		lut.Table[i] = int8((i % 251) - 125)
+	}
+	nl := b.ApplyLUT(mx, &lut)
+	cat := b.Concat(rq, nl)
+	b.Output(cat)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func TestGraphClone(t *testing.T) {
+	g := buildTestGraph(t)
+	c := g.Clone()
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	in := []int32{1, 2, 3, 4, 5, 6, 7, 8}
+	want, err := g.Eval(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Eval(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want[0] {
+		if got[0][i] != want[0][i] {
+			t.Fatalf("clone diverges at lane %d", i)
+		}
+	}
+	// Mutating the clone's weights must not touch the original.
+	for _, n := range c.Nodes {
+		switch n.Kind {
+		case KConst:
+			for i := range n.Const {
+				n.Const[i] = 0
+			}
+		case KLUT:
+			n.LUT.Table[0] = 99
+		}
+	}
+	again, err := g.Eval(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want[0] {
+		if again[0][i] != want[0][i] {
+			t.Fatal("mutating clone changed the original graph")
+		}
+	}
+}

@@ -90,3 +90,41 @@ func TestUpdateWeightsRejectsIncompatibleGraph(t *testing.T) {
 		t.Fatalf("UpdateWeights(incompatible) = %v, want ErrIncompatible", err)
 	}
 }
+
+// TestUpdateWeightsRejectsOpChange: a graph that verifies clean and keeps
+// the installed wiring but swaps a map operator is not a weight-only push.
+// Shard 0's device refuses it before any shard's weights change, so every
+// shard keeps deciding exactly as before.
+func TestUpdateWeightsRejectsOpChange(t *testing.T) {
+	_, g, _, _ := trainModel(t)
+	p := newLoadedPipeline(t, 3)
+	ins, before := makeBatch(t, 256, 64)
+	if _, err := p.ProcessBatch(ins, before); err != nil {
+		t.Fatal(err)
+	}
+	bad := g.Clone()
+	changed := false
+	for _, n := range bad.Nodes {
+		if n.Kind == mr.KMap && n.Map == mr.MAdd {
+			n.Map = mr.MSub
+			changed = true
+			break
+		}
+	}
+	if !changed {
+		t.Fatal("lowered DNN has no map/add node")
+	}
+	err := p.UpdateWeights(bad)
+	if !errors.Is(err, core.ErrStructureMismatch) || !errors.Is(err, graphcheck.ErrIncompatible) {
+		t.Fatalf("UpdateWeights(op change) = %v, want core.ErrStructureMismatch and graphcheck.ErrIncompatible", err)
+	}
+	after := make([]core.Decision, len(ins))
+	if _, err := p.ProcessBatch(ins, after); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ins {
+		if after[i] != before[i] {
+			t.Fatalf("packet %d: decision %+v after a refused push, was %+v", i, after[i], before[i])
+		}
+	}
+}

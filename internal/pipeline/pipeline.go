@@ -230,10 +230,12 @@ func (p *Pipeline) LoadModel(g *mr.Graph, inQ fixed.Quantizer, opts compiler.Opt
 // stopping traffic: each shard applies the update between its batches. The
 // graph is only read and may be shared across concurrent updates.
 //
-// Before any shard is touched, the graph passes the static gate: it must
-// verify (no feasible saturation, fits the grid) and be structurally
-// compatible with the installed model — a weight-only update — so a bad
-// push is refused outright instead of relying on per-shard rollback.
+// Before any shard is touched, the graph must verify (no feasible
+// saturation, fits the grid). Every shard serves the same structure, so a
+// push that is not weight-only is refused by shard 0's device
+// (core.ErrStructureMismatch wrapping graphcheck.ErrIncompatible) before
+// any shard's weights change: the update is all-or-nothing with no
+// rollback.
 func (p *Pipeline) UpdateWeights(newGraph *mr.Graph) error {
 	s0 := p.shards[0]
 	s0.mu.Lock()
@@ -245,9 +247,6 @@ func (p *Pipeline) UpdateWeights(newGraph *mr.Graph) error {
 		// the static gate only guards pushes that could actually land.
 		if rep := graphcheck.VerifyWith(newGraph, graphcheck.Options{Grid: grid}); !rep.OK() {
 			return rep.Err()
-		}
-		if err := graphcheck.Compatible(installed.Graph, newGraph); err != nil {
-			return err
 		}
 	}
 	for _, s := range p.shards {

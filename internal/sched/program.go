@@ -18,7 +18,7 @@ const DefaultBatch = 16
 
 // Opcode discriminates tape instructions. Each Opcode is a specialised loop
 // with the operator and saturation inlined — the per-lane Apply switch the
-// interpreter pays is hoisted out entirely.
+// reference interpreter (Graph.Eval) pays is hoisted out entirely.
 type Opcode uint8
 
 const (
@@ -85,35 +85,29 @@ type Instr struct {
 // preallocated structure-of-arrays arena. Run and RunBatch are bit-exact
 // with Graph.Eval and allocate nothing.
 //
-// Like Evaluator, a Program is tied to the graph it was compiled from and
-// sees in-place weight mutations (constants, LUT tables and requantisation
-// multipliers are read through the live nodes). It is not safe for
-// concurrent use; give each shard its own Program over its own clone.
+// A Program is tied to the graph it was compiled from and sees in-place
+// weight mutations (constants, LUT tables and requantisation multipliers are
+// read through the live nodes). It is not safe for concurrent use; give each
+// shard its own Program over its own clone.
 type Program struct {
 	g     *mr.Graph
 	sched *Schedule
 	code  []Instr
 	vals  []int32
-	batch int
 	ins   []Operand // per declared input
 	outs  []Operand // per declared output
 }
 
-// Compile plans g on spec and emits the instruction tape with the default
-// batch capacity. When a tape verifier is registered (SetVerifier — importing
-// internal/sched/tapecheck registers one) the tape must clear it before it is
-// returned: a miscompilation is an error here, not a wrong verdict later.
-func Compile(g *mr.Graph, spec cgra.GridSpec) (*Program, error) {
-	return CompileBatch(g, spec, DefaultBatch)
-}
-
-// CompileBatch compiles with an explicit batch capacity (>= 1) and runs the
-// registered tape verifier, if any. The verifier's verdict is journalled to
-// the process trace (obs.DefaultTracer) as tapecheck.pass / tapecheck.fail,
-// so a drift-recovery trace shows the translation gate alongside the push it
+// Compile plans g on spec and emits the instruction tape, with capacity for
+// DefaultBatch packets per RunBatch. When a tape verifier is registered
+// (SetVerifier — importing internal/sched/tapecheck registers one) the tape
+// must clear it before it is returned: a miscompilation is an error here, not
+// a wrong verdict later. The verifier's verdict is journalled to the process
+// trace (obs.DefaultTracer) as tapecheck.pass / tapecheck.fail, so a
+// drift-recovery trace shows the translation gate alongside the push it
 // guarded.
-func CompileBatch(g *mr.Graph, spec cgra.GridSpec, batch int) (*Program, error) {
-	p, err := CompileBatchUnverified(g, spec, batch)
+func Compile(g *mr.Graph, spec cgra.GridSpec) (*Program, error) {
+	p, err := CompileUnverified(g, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -128,23 +122,15 @@ func CompileBatch(g *mr.Graph, spec cgra.GridSpec, batch int) (*Program, error) 
 	return p, nil
 }
 
-// CompileUnverified compiles with the default batch capacity, skipping the
-// registered tape verifier — the opt-out for tests that inspect or corrupt
-// tapes, and for callers that run the verifier themselves to keep the report.
+// CompileUnverified is Compile without the verifier gate — the opt-out for
+// tests that inspect or corrupt tapes, and for callers that run the verifier
+// themselves to keep the report.
 func CompileUnverified(g *mr.Graph, spec cgra.GridSpec) (*Program, error) {
-	return CompileBatchUnverified(g, spec, DefaultBatch)
-}
-
-// CompileBatchUnverified is CompileBatch without the verifier gate.
-func CompileBatchUnverified(g *mr.Graph, spec cgra.GridSpec, batch int) (*Program, error) {
-	if batch < 1 {
-		return nil, fmt.Errorf("sched: batch capacity %d", batch)
-	}
 	s, err := Plan(g, spec)
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{g: g, sched: s, batch: batch}
+	p := &Program{g: g, sched: s}
 	if err := p.emit(); err != nil {
 		return nil, err
 	}
@@ -158,7 +144,7 @@ func (p *Program) Schedule() *Schedule { return p.sched }
 func (p *Program) Graph() *mr.Graph { return p.g }
 
 // MaxBatch returns the batch capacity RunBatch accepts.
-func (p *Program) MaxBatch() int { return p.batch }
+func (p *Program) MaxBatch() int { return DefaultBatch }
 
 // In returns packet 0's buffer for the i-th declared input (the single-
 // packet Run path); the caller writes feature codes into it.
@@ -292,7 +278,7 @@ func (p *Program) emit() error {
 		default:
 			loc[n.ID] = Operand{Off: off, Stride: n.Width, W: n.Width}
 			resolved[n.ID] = true
-			off += p.batch * n.Width
+			off += DefaultBatch * n.Width
 		}
 	}
 	p.vals = make([]int32, off)
@@ -438,9 +424,9 @@ func (p *Program) Run() { p.RunBatch(1) }
 //
 // hotpath: zero-alloc
 func (p *Program) RunBatch(n int) {
-	if n < 1 || n > p.batch {
+	if n < 1 || n > DefaultBatch {
 		//hotpathcheck:allow — misuse guard; panics before the sweep, never taken on the steady path
-		panic(fmt.Sprintf("sched: RunBatch(%d) outside capacity %d", n, p.batch))
+		panic(fmt.Sprintf("sched: RunBatch(%d) outside capacity %d", n, DefaultBatch))
 	}
 	for ci := range p.code {
 		ins := &p.code[ci]

@@ -1,7 +1,9 @@
 // Package sched compiles a validated MapReduce graph for software execution
 // at hardware-like cost: a VLIW-style list schedule over the CGRA's issue
-// resources, and a flat instruction tape (Program) that replaces the
-// interpreter's per-node switch dispatch with fused straight-line loops.
+// resources, and a flat instruction tape (Program) of fused straight-line
+// loops. The tape is the only executor: every device serves through it, and
+// Graph.Eval, the per-node reference interpreter, is left to tests and
+// fuzzers as the oracle the tape must match bit-exactly.
 //
 // graphcheck bounds the critical path ignoring resource contention
 // (Report.CriticalPathCycles), while Plan packs every compute node into

@@ -134,14 +134,6 @@ type (
 // block).
 func NewProgram(name string) *Builder { return mapreduce.NewBuilder(name) }
 
-// Evaluator interprets a MapReduce program with preallocated buffers: write
-// codes into Input(i), call Eval, read Output(i). It is the allocation-free
-// reference semantics the device hot path runs per packet.
-type Evaluator = mapreduce.Evaluator
-
-// NewEvaluator validates the program and preallocates every intermediate.
-func NewEvaluator(g *Graph) (*Evaluator, error) { return mapreduce.NewEvaluator(g) }
-
 // Static verification: the pre-push graph gate (internal/graphcheck).
 // Every push path — LoadModel, UpdateWeights, Controller and Fleet retrain
 // pushes, the distfit merge accept — runs the same analyses and refuses a
@@ -149,7 +141,7 @@ func NewEvaluator(g *Graph) (*Evaluator, error) { return mapreduce.NewEvaluator(
 type (
 	// GraphReport is the verifier's full result: per-node findings, the
 	// resource census against the grid, dead-node diagnostics and the
-	// depth-based initiation-interval estimate. OK() is the gate; String()
+	// resource-blind critical-path depth. OK() is the gate; String()
 	// renders the report taurus-compile -check prints.
 	GraphReport = graphcheck.Report
 	// GraphFinding is one diagnostic, anchored to the offending node.
@@ -200,14 +192,16 @@ func Compile(g *Graph, opts CompileOptions) (*Compiled, error) {
 	return compiler.Compile(g, opts)
 }
 
-// Scheduled evaluation (internal/sched): the compiled counterpart of the
-// Evaluator. PlanSchedule list-schedules a validated graph into VLIW-style
-// issue bundles under the grid's CU/MU capacity and reports the measured
-// depth and initiation interval (superseding GraphReport's depth-only
-// estimate); CompileProgram additionally emits the fused, allocation-free
-// instruction tape the device hot path runs, with batch-vectorised
-// RunBatch. Devices compile installed models automatically — these entry
-// points are for inspecting or benchmarking a schedule directly.
+// Scheduled evaluation (internal/sched): the executor. Graph.Eval is the
+// reference semantics; everything that serves packets runs a compiled tape.
+// PlanSchedule list-schedules a validated graph into VLIW-style issue
+// bundles under the grid's CU/MU capacity and reports the depth and the
+// initiation interval the device charges (GraphReport's critical path
+// ignores resource contention); CompileProgram additionally emits the fused,
+// allocation-free instruction tape the device hot path runs, with
+// batch-vectorised RunBatch. Devices compile installed models automatically
+// — these entry points are for inspecting or benchmarking a schedule
+// directly.
 type (
 	// Schedule is a resource-constrained bundle schedule of one graph;
 	// String() renders the per-cycle bundles.
@@ -383,7 +377,8 @@ type (
 	// current traffic distribution (the control plane's telemetry joined
 	// with ground truth).
 	LabelSource = controlplane.LabelSource
-	// DriftStatistic selects the drift detector (DriftMeanShift, DriftPSI).
+	// DriftStatistic selects the drift detector (DriftMeanShift, DriftPSI,
+	// DriftKS).
 	DriftStatistic = controlplane.DriftStatistic
 
 	// Deployable is one model's control-plane lifecycle: Fit on labelled
@@ -481,8 +476,8 @@ func WithDriftWindow(n int) ControllerOption {
 	return func(o *controllerOptions) { o.cp.Window = n }
 }
 
-// WithDriftStatistic selects the drift detector: DriftMeanShift (default)
-// or DriftPSI.
+// WithDriftStatistic selects the drift detector: DriftMeanShift (default),
+// DriftPSI or DriftKS.
 func WithDriftStatistic(s DriftStatistic) ControllerOption {
 	return func(o *controllerOptions) { o.cp.Statistic = s }
 }
@@ -828,14 +823,7 @@ var (
 	LowerSVM = lower.SVM
 	// LowerLSTMStep lowers one recurrent step of an LSTM.
 	LowerLSTMStep = lower.LSTMStep
-	// NewSVMReference builds a reusable evaluator of the lowered SVM's
-	// exact quantised arithmetic (bit-identical to the graph, no graph
-	// interpretation) — the control plane's parity checker.
-	NewSVMReference = lower.NewSVMReference
 )
-
-// SVMReference evaluates the lowered SVM's quantised decision directly.
-type SVMReference = lower.SVMReference
 
 // Synthetic workloads (§5.2.2 substitutes for NSL-KDD and TMC IoT traces).
 type (
