@@ -57,12 +57,8 @@ func MapTransfer(op mr.MapOp, a, b Interval) Interval {
 		return Interval{a.Lo - b.Hi, a.Hi - b.Lo}
 	case mr.MMul:
 		// Endpoint products bound a monotone-by-parts bilinear map.
-		p := [4]int64{a.Lo * b.Lo, a.Lo * b.Hi, a.Hi * b.Lo, a.Hi * b.Hi}
-		iv := point(p[0])
-		for _, x := range p[1:] {
-			iv = iv.union(point(x))
-		}
-		return iv
+		p0, p1, p2, p3 := a.Lo*b.Lo, a.Lo*b.Hi, a.Hi*b.Lo, a.Hi*b.Hi
+		return Interval{min(p0, p1, p2, p3), max(p0, p1, p2, p3)}
 	case mr.MMin:
 		return Interval{min64(a.Lo, b.Lo), min64(a.Hi, b.Hi)}
 	case mr.MMax:

@@ -76,6 +76,18 @@ func zooGraph(t testing.TB) *mr.Graph {
 	})
 }
 
+// nodeNamed returns the id of the input or const node called name.
+func nodeNamed(t *testing.T, g *mr.Graph, name string) mr.NodeID {
+	t.Helper()
+	for _, n := range g.Nodes {
+		if (n.Kind == mr.KInput || n.Kind == mr.KConst) && n.Name == name {
+			return n.ID
+		}
+	}
+	t.Fatalf("graph %q has no leaf node %q", g.Name, name)
+	return -1
+}
+
 func findPC(t *testing.T, p *sched.Program, op sched.Opcode) int {
 	t.Helper()
 	for pc := range p.Code() {
@@ -169,6 +181,15 @@ func TestMutationKill(t *testing.T) {
 			p.Schedule().Depth = 0
 		}},
 	}
+	// wantMsg pins, per case, text the killing finding must carry.
+	wantMsg := map[string]func(t *testing.T, p *sched.Program) string{
+		// The first diverging lane reads w[3] where the graph reads w[4]:
+		// the finding names both const leaves by graph node and lane.
+		"weight-window-off-by-one": func(t *testing.T, p *sched.Program) string {
+			w := nodeNamed(t, p.Graph(), "w")
+			return fmt.Sprintf("diverges at w%d[3] vs w%d[4]", w, w)
+		},
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := compile(t, zooGraph(t))
@@ -188,11 +209,58 @@ func TestMutationKill(t *testing.T) {
 					continue
 				}
 				t.Logf("killed by: %s", f)
+				if want := wantMsg[tc.name]; want != nil && !strings.Contains(f.Msg, want(t, p)) {
+					t.Fatalf("finding does not say %q: %s", want(t, p), f)
+				}
 				return
 			}
 			t.Fatalf("no %s error finding (wantPC=%v); report:\n%s", tc.check, tc.wantPC, rep)
 		})
 	}
+}
+
+// dotGraph is a dot over x·w. With split set, an earlier map has already
+// multiplied lanes 4..7, so the dot's products sit at two runs of ids, not
+// one: the tape side's consecutive-id guess misses at lane 4.
+func dotGraph(t testing.TB, split bool) *mr.Graph {
+	return build(t, "dot", func(b *mr.Builder) {
+		x := b.Input("x", 8)
+		w := b.Const("w", []int32{3, -1, 4, -1, 5, -9, 2, -6})
+		if split {
+			b.Output(b.Map(mr.MMul, b.Slice(x, 4, 4), b.Slice(w, 4, 4)))
+		}
+		b.Output(b.Reduce(mr.RAdd, b.Map(mr.MMul, x, w)))
+	})
+}
+
+// TestHintMiss: when the id after the previous lane's product is not the
+// product the next lane computes, equiv must fall back to the table — a
+// faithful tape still verifies clean, and a node of the right kind with a
+// wrong kid is never taken for the answer.
+func TestHintMiss(t *testing.T) {
+	t.Run("faithful-tape-verifies", func(t *testing.T) {
+		p := compile(t, dotGraph(t, true))
+		findPC(t, p, sched.OpDot)
+		if rep := tapecheck.Verify(p); !rep.OK() || len(rep.Findings) != 0 {
+			t.Fatalf("faithful tape has findings:\n%s", rep)
+		}
+	})
+	t.Run("wrong-kid-rejected", func(t *testing.T) {
+		p := compile(t, dotGraph(t, false))
+		// Broadcast the dot's second operand: lane 0 still computes the
+		// graph's product, and every later lane multiplies by lane 0's b,
+		// so the node after each lane's product has the right kind and one
+		// right kid but not the other.
+		pc := findPC(t, p, sched.OpDot)
+		p.Code()[pc].B.W = 1
+		rep := tapecheck.Verify(p)
+		for _, f := range rep.Findings {
+			if f.Severity == tapecheck.SevError && f.Check == tapecheck.CheckEquiv && f.PC == pc {
+				return
+			}
+		}
+		t.Fatalf("no equiv error at pc %d; report:\n%s", pc, rep)
+	})
 }
 
 // TestRangeFindingOnMutatedOp: a min against a huge constant is harmless,
